@@ -56,12 +56,18 @@ module Abstract_lock = struct
     end
     else false
 
+  (* The release event fires before the store, as in [Vlock]: fired after
+     it, a contender's acquire event can overtake it and read as an
+     acquire while held.  Only a recovery steal can move [holder] away
+     from [owner] in between, and then the CAS leaves the thief's hold. *)
   let release t ~owner =
     if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.id);
-    if Atomic.compare_and_set t.holder owner (-1) then
+    if Atomic.get t.holder = owner then begin
       if !Runtime.sanitizer then
         Runtime.sanitizer_event
-          (Runtime.San_release { pe = t.id; owner; version = None })
+          (Runtime.San_release { pe = t.id; owner; version = None });
+      ignore (Atomic.compare_and_set t.holder owner (-1))
+    end
 
   let held_by t = Atomic.get t.holder
 end
@@ -74,16 +80,7 @@ type tx = {
   rec_state : Txrec.t option;            (* event recording, when enabled *)
 }
 
-let current : tx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let () =
-  Runtime.register_tls
-    ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-    ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : tx option))
-
 let stats = Stats.create ()
-
-let in_transaction () = Option.is_some (Domain.DLS.get current)
 
 (** Acquire an abstract lock for the running transaction (idempotent).
     Aborts the transaction if the lock stays unavailable past the
@@ -180,82 +177,72 @@ let rollback tx =
   List.iter (fun inverse -> inverse ()) tx.undo;
   tx.undo <- []
 
+module A = Attempt.Make (struct
+  type ctx = tx
+  type scratch = unit
+
+  let stats = stats
+  let create_scratch () = ()
+  let clear_scratch () = ()
+
+  let start () _ ~owner ~rec_state =
+    { root_id = owner; locks = []; undo = []; durable = []; rec_state }
+
+  let commit tx =
+    (* Commit gate: a victim whose stripe was stolen must not commit — the
+       steal protocol relies on the doomed victim aborting (rolling its
+       undo log back) instead of reporting success over structures another
+       transaction now owns. *)
+    Recovery.check_poisoned ();
+    (* Changes are already applied to the base objects: drop the undo log
+       and release the locks. *)
+    tx.undo <- [];
+    if !Runtime.durability && tx.durable <> [] then begin
+      (* Mint the WAL record's version while the abstract locks are still
+         held: any dependent boosting commit acquires one of them
+         afterwards and so observes the bumped floor, keeping replay order
+         consistent with real order. *)
+      let wv = Clock.tick ~floor:(fun () -> Atomic.get durable_floor) () in
+      bump_durable_floor wv;
+      Durable.stage ~wv (List.rev tx.durable);
+      tx.durable <- []
+    end;
+    Txrec.commit_tx tx.rec_state ~tx:tx.root_id;
+    release_all tx;
+    Txrec.release_remaining tx.rec_state
+
+  let abort tx =
+    rollback tx;
+    release_all tx;
+    tx.durable <- []
+
+  (* No rollback and no release: the orphaned abstract locks are
+     recovery's to reclaim.  The crashed transaction's undo log dies with
+     it: boosting applies operations eagerly, so its effects up to the
+     crash point remain applied (DESIGN.md 5h documents this
+     limitation). *)
+  let forget tx =
+    tx.locks <- [];
+    tx.undo <- [];
+    tx.durable <- []
+
+  let rec_state tx = tx.rec_state
+  let tx_id tx = tx.root_id
+
+  (* Flat nesting with outheritance: everything the child acquires or logs
+     accumulates in the root's lock table and undo log.  The child is a
+     transaction of its own in the recorded history only. *)
+  let enter tx _ ~tx:_ = tx
+  let validate_child _ = ()
+  let merge ~parent:_ ~parent_tx:_ _ = ()
+end)
+
+let in_transaction = A.in_transaction
+
 (** Run a boosted transaction.  Nested calls share the root transaction's
     lock table and undo log: the child's abstract locks are outherited and
     released only at the root commit. *)
-let atomic f =
-  match Domain.DLS.get current with
-  | Some parent ->
-    (* Flat nesting with outheritance: everything the child acquires or
-       logs accumulates in the root's lock table and undo log.  The child
-       is a transaction of its own in the recorded history. *)
-    let child_id = Runtime.fresh_tx_id () in
-    Txrec.begin_tx parent.rec_state ~tx:child_id;
-    let result = f parent in
-    Txrec.commit_tx parent.rec_state ~tx:child_id;
-    result
-  | None ->
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let tx =
-          { root_id = Runtime.fresh_tx_id (); locks = []; undo = [];
-            durable = []; rec_state = Txrec.create () }
-        in
-        Domain.DLS.set current (Some tx);
-        if !Runtime.recovery then Registry.publish ~owner:tx.root_id;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:tx.root_id;
-        Txrec.begin_tx tx.rec_state ~tx:tx.root_id;
-        try
-          let result = f tx in
-          (* Commit gate: a victim whose stripe was stolen must not commit
-             — the steal protocol relies on the doomed victim aborting
-             (rolling its undo log back) instead of reporting success over
-             structures another transaction now owns. *)
-          Recovery.check_poisoned ();
-          (* Commit: changes are already applied to the base objects;
-             drop the undo log and release the locks. *)
-          tx.undo <- [];
-          if !Runtime.durability && tx.durable <> [] then begin
-            (* Mint the WAL record's version while the abstract locks are
-               still held: any dependent boosting commit acquires one of
-               them afterwards and so observes the bumped floor, keeping
-               replay order consistent with real order. *)
-            let wv =
-              Clock.tick ~floor:(fun () -> Atomic.get durable_floor) ()
-            in
-            bump_durable_floor wv;
-            Durable.stage ~wv (List.rev tx.durable);
-            tx.durable <- []
-          end;
-          Txrec.commit_tx tx.rec_state ~tx:tx.root_id;
-          release_all tx;
-          Txrec.release_remaining tx.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx.root_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: no rollback and no release — the
-             orphaned abstract locks are recovery's to reclaim.  Note the
-             crashed transaction's undo log dies with it: boosting applies
-             operations eagerly, so its effects up to the crash point
-             remain applied (DESIGN.md 5h documents this limitation). *)
-          tx.locks <- [];
-          tx.undo <- [];
-          tx.durable <- [];
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:tx.root_id;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          rollback tx;
-          release_all tx;
-          tx.durable <- [];
-          Txrec.abort_open tx.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx.root_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+let atomic f = A.atomic Stm_intf.Regular f
 
 (* ------------------------------------------------------------------ *)
 (* A boosted set: striped abstract locks over a sequential hash set.    *)

@@ -60,25 +60,7 @@ module Make (P : POLICY) :
 
   let stats = Stats.create ()
 
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
-
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
+  include Attempt.Tvars
 
   let read : type a. ctx -> a tvar -> a =
    fun ctx tv ->
@@ -155,138 +137,59 @@ module Make (P : POLICY) :
     end;
     Txrec.write ctx.rec_state ~tx:ctx.cur_tx ~pe ~repr:(Recorder.repr_of_value v)
 
-  let commit ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): abort rather than block so
-       any locks this transaction holds are released for the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    if not (Rwsets.Wset.is_empty ctx.wset) then begin
-      if not (Rwsets.Wset.lock_all ctx.wset ~owner:ctx.tx_id) then
-        Control.abort_tx Control.Lock_contention;
-      (* The locks are held, so [max_version] is stable: it is the GV5
-         floor keeping write versions strictly above anything already
-         installed at these locations (GV1/GV4 never consult it). *)
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.wset) ()
-      in
-      (* Commit decides against [wv], not the old [rv] — a full scan. *)
-      let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
-      if Stats.detailed_enabled () then
-        Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset);
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then
-        Sanitizer.on_commit ~owner:ctx.tx_id ~wv (fun f ->
-            Rwsets.Rset.iter f ctx.rset);
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock.  (The
-         abort releases cleanly: CAS-based unlocks skip stolen entries.) *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.wset)
-    end;
-    Txrec.commit_tx ctx.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.rec_state
+  module A = Attempt.Make (struct
+    type nonrec ctx = ctx
+    type scratch = { s_rset : Rwsets.Rset.t; s_wset : Rwsets.Wset.t }
 
-  let run_nested ctx f =
-    let tx = Runtime.fresh_tx_id () in
-    let saved = ctx.cur_tx in
-    Txrec.begin_tx ctx.rec_state ~tx;
-    ctx.cur_tx <- tx;
-    let result = f ctx in
-    (* Flat nesting: the child's protected set simply stays in the parent's
-       read/write sets — outheritance by construction. *)
-    Txrec.commit_tx ctx.rec_state ~tx;
-    ctx.cur_tx <- saved;
-    result
+    let stats = stats
 
-  (* Per-domain scratch sets, reused across every toplevel transaction the
-     domain runs: retries stop re-growing the backing stores from their
-     initial capacity, which dominates read-heavy workloads.  [Vec.clear]
-     wipes freed slots to the dummy, so reuse does not pin dead tvars.
-     Under the deterministic scheduler one domain multiplexes many logical
-     processes that must not share mutable state, so simulated runs
-     allocate fresh sets per transaction instead. *)
-  type scratch = { s_rset : Rwsets.Rset.t; s_wset : Rwsets.Wset.t }
+    let create_scratch () =
+      { s_rset = Rwsets.Rset.create (); s_wset = Rwsets.Wset.create () }
 
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_rset = Rwsets.Rset.create (); s_wset = Rwsets.Wset.create () })
-
-  let fresh_sets () =
-    if !Runtime.simulated then
-      (Rwsets.Rset.create (), Rwsets.Wset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
+    let clear_scratch s =
       Rwsets.Rset.clear s.s_rset;
-      Rwsets.Wset.clear s.s_wset;
-      (s.s_rset, s.s_wset)
-    end
+      Rwsets.Wset.clear s.s_wset
 
-  let run_toplevel f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let tx_id = Runtime.fresh_tx_id () in
-        let rset, wset = fresh_sets () in
-        let ctx =
-          { tx_id; cur_tx = tx_id; rv = Clock.now (); rset; wset;
-            rec_state = Txrec.create () }
-        in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:tx_id;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:tx_id;
-        Txrec.begin_tx ctx.rec_state ~tx:ctx.tx_id;
-        (* The commit itself can abort, so it must run inside the cleanup
-           handler, not in the success branch of a match on [f ctx]. *)
-        try
-          let result = f ctx in
-          (commit ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if Stats.detailed_enabled () then
-            Stats.record_rwset_sizes stats ~reads:(Rwsets.Rset.length ctx.rset)
-              ~writes:(Rwsets.Wset.size ctx.wset);
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave every held lock locked (that is
-             the point — recovery must reclaim them), but detach the
-             scratch sets and mark the registry slot dead so contenders
-             see a legitimate victim. *)
-          Rwsets.Wset.forget_locks ctx.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:tx_id;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore ctx.wset;
-          Txrec.abort_open ctx.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:tx_id;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+    let start s _ ~owner ~rec_state =
+      { tx_id = owner; cur_tx = owner; rv = Clock.now (); rset = s.s_rset;
+        wset = s.s_wset; rec_state }
 
-  let atomic ?mode:_ f =
-    match Domain.DLS.get current with
-    | Some ctx -> run_nested ctx f
-    | None -> run_toplevel f
+    let rec_state ctx = ctx.rec_state
+
+    include Attempt.Versioned (struct
+      type nonrec ctx = ctx
+
+      let stats = stats
+      let owner ctx = ctx.tx_id
+      let wset ctx = ctx.wset
+      let rec_state = rec_state
+
+      let validate ctx =
+        let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
+        if Stats.detailed_enabled () then
+          Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset);
+        ok
+
+      (* Every read was validated against [rv] when made. *)
+      let validate_read_only _ = true
+      let iter_reads ctx f = Rwsets.Rset.iter f ctx.rset
+      let reads ctx = Rwsets.Rset.length ctx.rset
+    end)
+
+    let tx_id ctx = ctx.cur_tx
+
+    (* Flat nesting: the child's protected set simply stays in the
+       parent's read/write sets — outheritance by construction. *)
+    let enter ctx _ ~tx =
+      ctx.cur_tx <- tx;
+      ctx
+
+    let validate_child _ = ()
+    let merge ~parent ~parent_tx _ = parent.cur_tx <- parent_tx
+  end)
+
+  let in_transaction = A.in_transaction
+  let atomic ?mode:_ f = A.atomic Stm_intf.Regular f
 end
 
 (** TL2 (Dice, Shalev, Shavit — DISC'06): commit-time locking, no interval

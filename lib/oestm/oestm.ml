@@ -92,25 +92,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
 
   let stats = Stats.create ()
 
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
-
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
+  include Attempt.Tvars
 
   let entry_valid ~owner = function
     | None -> true
@@ -271,214 +253,126 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     in
     walk ctx
 
-  (* Child commit, part 1 (before the commit event): with [Drop], the child
-     validates itself at its own commit, as E-STM does. *)
-  let validate_child child =
-    match C.nesting with
-    | Outherit -> ()
-    | Drop ->
-      let owner = child.root.root_tx in
-      if
-        not
-          (Rwsets.Rset.validate child.rset_snap ~owner
-          && Rwsets.Rset.validate child.rset_prot ~owner
-          && window_valid ~owner child)
-      then Control.abort_tx Control.Validation_failed
+  let rec iter_levels ctx f =
+    Rwsets.Rset.iter f ctx.rset_snap;
+    Rwsets.Rset.iter f ctx.rset_prot;
+    Option.iter f ctx.w0;
+    Option.iter f ctx.w1;
+    match ctx.parent with None -> () | Some p -> iter_levels p f
 
-  (* Child commit, part 2 (after the commit event): outherit the protected
-     set to the parent, or drop it (releasing the protection elements — the
-     composition-breaking behaviour of Fig. 1). *)
-  let close_child ~parent child =
-    match C.nesting with
-    | Outherit ->
-      Rwsets.Rset.append_into ~src:child.rset_snap ~dst:parent.rset_snap;
-      Rwsets.Rset.append_into ~src:child.rset_prot ~dst:parent.rset_prot;
-      Option.iter (Rwsets.Rset.push parent.rset_prot) child.w1;
-      Option.iter (Rwsets.Rset.push parent.rset_prot) child.w0;
-      if child.written && not parent.written then begin
-        parent.written <- true;
-        Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w1;
-        Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w0;
-        parent.w0 <- None;
-        parent.w1 <- None
-      end
-    | Drop ->
-      let release (e : Rwsets.rentry) =
-        Txrec.release child.root.rec_state ~pe:e.Rwsets.r_pe
-      in
-      Rwsets.Rset.iter release child.rset_snap;
-      Rwsets.Rset.iter release child.rset_prot;
-      Option.iter release child.w1;
-      Option.iter release child.w0
+  module A = Attempt.Make (struct
+    type nonrec ctx = ctx
 
-  let commit_root ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate: while another process holds the fallback
-       token, no one else may commit.  Abort (not block): blocking here
-       would keep our write locks held and deadlock the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    let owner = ctx.root.root_tx in
-    if Rwsets.Wset.is_empty ctx.root.wset then begin
-      (* Read-only.  A lone elastic transaction needs no commit validation
-         (it serialised at its last read); only outherited protected sets
-         must still hold, so that composed children appear adjacent. *)
-      if not (protected_is_empty ctx) && not (validate_protected ~owner ctx)
-      then Control.abort_tx Control.Validation_failed
-    end
-    else begin
-      if not (Rwsets.Wset.lock_all ctx.root.wset ~owner) then
-        Control.abort_tx Control.Lock_contention;
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.root.wset) ()
-      in
-      let ok = validate_levels ~owner ctx in
-      record_scan ctx;
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.root.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then begin
-        let rec iter_levels f level =
-          Rwsets.Rset.iter f level.rset_snap;
-          Rwsets.Rset.iter f level.rset_prot;
-          Option.iter f level.w0;
-          Option.iter f level.w1;
-          match level.parent with None -> () | Some p -> iter_levels f p
-        in
-        Sanitizer.on_commit ~owner ~wv (fun f -> iter_levels f ctx)
-      end;
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock. *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.root.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.root.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.root.wset)
-    end;
-    Txrec.commit_tx ctx.root.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.root.rec_state
+    (* Nested levels allocate fresh per-level sets: they are short-lived
+       and merged away at child commit. *)
+    type scratch = {
+      s_wset : Rwsets.Wset.t;
+      s_snap : Rwsets.Rset.t;
+      s_prot : Rwsets.Rset.t;
+    }
 
-  let run_nested parent mode f =
-    let child =
-      { tx_id = Runtime.fresh_tx_id (); mode; root = parent.root;
-        parent = Some parent; rset_snap = Rwsets.Rset.create ();
-        rset_prot = Rwsets.Rset.create (); w0 = None; w1 = None;
-        written = false }
-    in
-    Txrec.begin_tx child.root.rec_state ~tx:child.tx_id;
-    Domain.DLS.set current (Some child);
-    match f child with
-    | result ->
-      validate_child child;
-      Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
-      close_child ~parent child;
-      Domain.DLS.set current (Some parent);
-      result
-    | exception e ->
-      (* Aborts unwind to the top-level retry loop (flat nesting). *)
-      Domain.DLS.set current (Some parent);
-      raise e
+    let stats = stats
 
-  (* Per-domain scratch sets reused across toplevel transactions (nested
-     levels still allocate fresh per-level sets — they are short-lived and
-     merged away at child commit).  Simulated runs allocate fresh sets:
-     one domain multiplexes many logical processes there, which must not
-     share mutable state. *)
-  type scratch = {
-    s_wset : Rwsets.Wset.t;
-    s_snap : Rwsets.Rset.t;
-    s_prot : Rwsets.Rset.t;
-  }
+    let create_scratch () =
+      { s_wset = Rwsets.Wset.create (); s_snap = Rwsets.Rset.create ();
+        s_prot = Rwsets.Rset.create () }
 
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_wset = Rwsets.Wset.create (); s_snap = Rwsets.Rset.create ();
-          s_prot = Rwsets.Rset.create () })
-
-  let fresh_sets () =
-    if !Runtime.simulated then
-      (Rwsets.Wset.create (), Rwsets.Rset.create (), Rwsets.Rset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
+    let clear_scratch s =
       Rwsets.Wset.clear s.s_wset;
       Rwsets.Rset.clear s.s_snap;
-      Rwsets.Rset.clear s.s_prot;
-      (s.s_wset, s.s_snap, s.s_prot)
-    end
+      Rwsets.Rset.clear s.s_prot
 
-  let run_toplevel mode f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let root_tx = Runtime.fresh_tx_id () in
-        let wset, rset_snap, rset_prot = fresh_sets () in
-        let root =
-          { root_tx; wset; rv = Clock.now (); rec_state = Txrec.create () }
-        in
-        let ctx =
-          { tx_id = root_tx; mode; root; parent = None; rset_snap; rset_prot;
-            w0 = None; w1 = None; written = false }
-        in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:root_tx;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:root_tx;
-        Txrec.begin_tx root.rec_state ~tx:root_tx;
-        (* The commit itself can abort, so it must run inside the cleanup
-           handler, not in the success branch of a match on [f ctx]. *)
-        try
-          let result = f ctx in
-          (commit_root ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if Stats.detailed_enabled () then begin
-            (* Committed children have merged their sets into the root, so
-               the root's sets are the whole transaction's footprint.  The
-               elastic window holds at most two more tracked reads. *)
-            let window =
-              (match ctx.w0 with Some _ -> 1 | None -> 0)
-              + match ctx.w1 with Some _ -> 1 | None -> 0
-            in
-            Stats.record_rwset_sizes stats
-              ~reads:
-                (Rwsets.Rset.length ctx.rset_snap
-                + Rwsets.Rset.length ctx.rset_prot
-                + window)
-              ~writes:(Rwsets.Wset.size root.wset)
-          end;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave held locks for recovery to
-             reclaim; mark the registry slot dead. *)
-          Rwsets.Wset.forget_locks root.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:root_tx;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore root.wset;
-          Txrec.abort_open root.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+    let start s mode ~owner ~rec_state =
+      let root =
+        { root_tx = owner; wset = s.s_wset; rv = Clock.now (); rec_state }
+      in
+      { tx_id = owner; mode; root; parent = None; rset_snap = s.s_snap;
+        rset_prot = s.s_prot; w0 = None; w1 = None; written = false }
 
-  let atomic ?(mode = Stm_intf.Regular) f =
-    match Domain.DLS.get current with
-    | Some parent -> run_nested parent mode f
-    | None -> run_toplevel mode f
+    let rec_state ctx = ctx.root.rec_state
+
+    include Attempt.Versioned (struct
+      type nonrec ctx = ctx
+
+      let stats = stats
+      let owner ctx = ctx.root.root_tx
+      let wset ctx = ctx.root.wset
+      let rec_state = rec_state
+
+      let validate ctx =
+        let ok = validate_levels ~owner:ctx.root.root_tx ctx in
+        record_scan ctx;
+        ok
+
+      (* A lone elastic transaction needs no commit validation (it
+         serialised at its last read); only outherited protected sets must
+         still hold, so that composed children appear adjacent. *)
+      let validate_read_only ctx =
+        protected_is_empty ctx
+        || validate_protected ~owner:ctx.root.root_tx ctx
+
+      let iter_reads = iter_levels
+
+      (* Committed children have merged their sets into the root, so the
+         root's sets are the whole transaction's footprint.  The elastic
+         window holds at most two more tracked reads. *)
+      let reads ctx =
+        Rwsets.Rset.length ctx.rset_snap
+        + Rwsets.Rset.length ctx.rset_prot
+        + (match ctx.w0 with Some _ -> 1 | None -> 0)
+        + match ctx.w1 with Some _ -> 1 | None -> 0
+    end)
+
+    let tx_id ctx = ctx.tx_id
+
+    let enter parent mode ~tx =
+      { tx_id = tx; mode; root = parent.root; parent = Some parent;
+        rset_snap = Rwsets.Rset.create (); rset_prot = Rwsets.Rset.create ();
+        w0 = None; w1 = None; written = false }
+
+    (* Child commit, part 1 (before the commit event): with [Drop], the child
+       validates itself at its own commit, as E-STM does. *)
+    let validate_child child =
+      match C.nesting with
+      | Outherit -> ()
+      | Drop ->
+        let owner = child.root.root_tx in
+        if
+          not
+            (Rwsets.Rset.validate child.rset_snap ~owner
+            && Rwsets.Rset.validate child.rset_prot ~owner
+            && window_valid ~owner child)
+        then Control.abort_tx Control.Validation_failed
+
+    (* Child commit, part 2 (after the commit event): outherit the protected
+       set to the parent, or drop it (releasing the protection elements — the
+       composition-breaking behaviour of Fig. 1). *)
+    let merge ~parent ~parent_tx:_ child =
+      match C.nesting with
+      | Outherit ->
+        Rwsets.Rset.append_into ~src:child.rset_snap ~dst:parent.rset_snap;
+        Rwsets.Rset.append_into ~src:child.rset_prot ~dst:parent.rset_prot;
+        Option.iter (Rwsets.Rset.push parent.rset_prot) child.w1;
+        Option.iter (Rwsets.Rset.push parent.rset_prot) child.w0;
+        if child.written && not parent.written then begin
+          parent.written <- true;
+          Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w1;
+          Option.iter (Rwsets.Rset.push parent.rset_prot) parent.w0;
+          parent.w0 <- None;
+          parent.w1 <- None
+        end
+      | Drop ->
+        let release (e : Rwsets.rentry) =
+          Txrec.release child.root.rec_state ~pe:e.Rwsets.r_pe
+        in
+        Rwsets.Rset.iter release child.rset_snap;
+        Rwsets.Rset.iter release child.rset_prot;
+        Option.iter release child.w1;
+        Option.iter release child.w0
+  end)
+
+  let in_transaction = A.in_transaction
+  let atomic ?(mode = Stm_intf.Regular) f = A.atomic mode f
 end
 
 (** The paper's OE-STM: elastic transactions that compose. *)

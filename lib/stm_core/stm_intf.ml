@@ -37,6 +37,13 @@ module type S = sig
       called inside a running transaction of this STM on the same logical
       process, runs the body as a child transaction of it instead.
 
+      Nesting is flat: a user exception (anything but an abort or a
+      simulated crash) escaping a child does not roll back the child's
+      writes.  The child is closed as committed, and if the parent catches
+      the exception and commits, the child's writes commit with it.  Only
+      an exception escaping the top-level [atomic] rolls the transaction
+      back.
+
       @param mode defaults to [Regular].
       @raise Control.Starvation if {!Runtime.retry_cap} is exceeded. *)
 

@@ -141,16 +141,19 @@ let unlock_to t ~version =
    under its owner: the release succeeds only if the stamp is still the
    locked image of [saved], i.e. the lock was not stolen.  ABA is
    impossible because stolen locks transition to a strictly larger
-   (poisoned) version and versions never decrease. *)
+   (poisoned) version and versions never decrease.  The sanitizer event
+   fires between the stamp transition and the claim clear: no recovery-mode
+   locker can take the lock while the claim is held, so no acquire event
+   can overtake the release. *)
 let unlock_restore_from t ~saved =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
   let me = t.owner_id in
   let released = Atomic.compare_and_set t.stamp_cell (saved lor 1) saved in
   if released then begin
-    clear_claim t ~me;
     if !Runtime.sanitizer then
       Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = None })
+        (Runtime.San_release { pe = t.pe; owner = me; version = None });
+    clear_claim t ~me
   end;
   released
 
@@ -161,10 +164,10 @@ let unlock_to_from t ~saved ~version =
     Atomic.compare_and_set t.stamp_cell (saved lor 1) (version lsl 1)
   in
   if released then begin
-    clear_claim t ~me;
     if !Runtime.sanitizer then
       Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = Some version })
+        (Runtime.San_release { pe = t.pe; owner = me; version = Some version });
+    clear_claim t ~me
   end;
   released
 
@@ -191,11 +194,12 @@ let steal t ~observed ~victim ~version =
     locked observed
     && Atomic.compare_and_set t.stamp_cell observed (version lsl 1)
   then begin
-    let displaced = Atomic.exchange t.claim (-1) in
+    (* Report before displacing the claim, for the same reason as the
+       CAS-based releases above. *)
     if !Runtime.sanitizer then
       Runtime.sanitizer_event
         (Runtime.San_steal { pe = t.pe; victim; version = Some version });
-    Some displaced
+    Some (Atomic.exchange t.claim (-1))
   end
   else None
 

@@ -62,25 +62,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
 
   let stats = Stats.create ()
 
-  let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : ctx option))
-
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-  let tvar_id = Tvar.id
-  let in_transaction () = Option.is_some (Domain.DLS.get current)
+  include Attempt.Tvars
 
   let rec validate_views ~owner ctx =
     Rwsets.Rset.validate ctx.view ~owner
@@ -169,136 +151,69 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe
       ~repr:(Recorder.repr_of_value v)
 
-  let commit_root ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): abort rather than block so
-       any locks this transaction holds are released for the token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    let owner = ctx.root.root_tx in
-    if Rwsets.Wset.is_empty ctx.root.wset then begin
-      if not (validate_views ~owner ctx) then
-        Control.abort_tx Control.Validation_failed
-    end
-    else begin
-      if not (Rwsets.Wset.lock_all ctx.root.wset ~owner) then
-        Control.abort_tx Control.Lock_contention;
-      let wv =
-        Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version ctx.root.wset) ()
-      in
-      let ok = validate_views ~owner ctx in
-      record_scan ctx;
-      if not ok then begin
-        Rwsets.Wset.unlock_all_restore ctx.root.wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then begin
-        let rec iter_views f c =
-          Rwsets.Rset.iter f c.view;
-          match c.parent with None -> () | Some p -> iter_views f p
-        in
-        Sanitizer.on_commit ~owner ~wv (fun f -> iter_views f ctx)
-      end;
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock. *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore ctx.root.wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock ctx.root.wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable ctx.root.wset)
-    end;
-    Txrec.commit_tx ctx.root.rec_state ~tx:ctx.tx_id;
-    Txrec.release_remaining ctx.root.rec_state
+  let rec iter_views ctx f =
+    Rwsets.Rset.iter f ctx.view;
+    match ctx.parent with None -> () | Some p -> iter_views p f
 
-  let run_nested parent f =
-    let child =
-      { tx_id = Runtime.fresh_tx_id (); root = parent.root;
-        parent = Some parent; view = Rwsets.Rset.create () }
-    in
-    Txrec.begin_tx child.root.rec_state ~tx:child.tx_id;
-    Domain.DLS.set current (Some child);
-    match f child with
-    | result ->
-      Txrec.commit_tx child.root.rec_state ~tx:child.tx_id;
-      (* Outheritance: the child's critical view joins the parent's. *)
-      Rwsets.Rset.append_into ~src:child.view ~dst:parent.view;
-      Domain.DLS.set current (Some parent);
-      result
-    | exception e ->
-      Domain.DLS.set current (Some parent);
-      raise e
+  module A = Attempt.Make (struct
+    type nonrec ctx = ctx
 
-  (* Per-domain scratch sets reused across toplevel transactions; nested
-     views stay per-level allocations (merged away at child commit).
-     Simulated runs allocate fresh sets: one domain multiplexes many
-     logical processes there, which must not share mutable state. *)
-  type scratch = { s_wset : Rwsets.Wset.t; s_view : Rwsets.Rset.t }
+    (* Nested views stay per-level allocations, merged away at child
+       commit. *)
+    type scratch = { s_wset : Rwsets.Wset.t; s_view : Rwsets.Rset.t }
 
-  let scratch : scratch Domain.DLS.key =
-    Domain.DLS.new_key (fun () ->
-        { s_wset = Rwsets.Wset.create (); s_view = Rwsets.Rset.create () })
+    let stats = stats
 
-  let fresh_sets () =
-    if !Runtime.simulated then (Rwsets.Wset.create (), Rwsets.Rset.create ())
-    else begin
-      let s = Domain.DLS.get scratch in
+    let create_scratch () =
+      { s_wset = Rwsets.Wset.create (); s_view = Rwsets.Rset.create () }
+
+    let clear_scratch s =
       Rwsets.Wset.clear s.s_wset;
-      Rwsets.Rset.clear s.s_view;
-      (s.s_wset, s.s_view)
-    end
+      Rwsets.Rset.clear s.s_view
 
-  let run_toplevel f =
-    Retry_loop.run ~stats (fun ~attempt:_ ->
-        let root_tx = Runtime.fresh_tx_id () in
-        let wset, view = fresh_sets () in
-        let root =
-          { root_tx; wset; rv = Clock.now (); rec_state = Txrec.create () }
-        in
-        let ctx = { tx_id = root_tx; root; parent = None; view } in
-        Domain.DLS.set current (Some ctx);
-        if !Runtime.recovery then Registry.publish ~owner:root_tx;
-        if !Runtime.sanitizer then Sanitizer.tx_begin ~owner:root_tx;
-        Txrec.begin_tx root.rec_state ~tx:root_tx;
-        try
-          let result = f ctx in
-          (commit_root ctx
-           [@txlint.allow "tx-escape"
-               "the engine's attempt thunk commits here: installing the \
-                write set via unsafe_write under the write locks is the \
-                one sanctioned escape"]);
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          result
-        with
-        | Control.Crashed as e ->
-          (* Simulated domain death: leave held locks for recovery to
-             reclaim; mark the registry slot dead. *)
-          Rwsets.Wset.forget_locks root.wset;
-          if !Runtime.recovery then Registry.mark_crashed ();
-          if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner:root_tx;
-          Domain.DLS.set current None;
-          raise e
-        | e ->
-          Rwsets.Wset.unlock_all_restore root.wset;
-          Txrec.abort_open root.rec_state;
-          if !Runtime.sanitizer then Sanitizer.tx_end ~owner:root_tx;
-          if !Runtime.recovery then Registry.clear ();
-          Domain.DLS.set current None;
-          raise e)
+    let start s _ ~owner ~rec_state =
+      let root =
+        { root_tx = owner; wset = s.s_wset; rv = Clock.now (); rec_state }
+      in
+      { tx_id = owner; root; parent = None; view = s.s_view }
 
-  let atomic ?mode:_ f =
-    match Domain.DLS.get current with
-    | Some parent -> run_nested parent f
-    | None -> run_toplevel f
+    let rec_state ctx = ctx.root.rec_state
+
+    include Attempt.Versioned (struct
+      type nonrec ctx = ctx
+
+      let stats = stats
+      let owner ctx = ctx.root.root_tx
+      let wset ctx = ctx.root.wset
+      let rec_state = rec_state
+
+      let validate ctx =
+        let ok = validate_views ~owner:ctx.root.root_tx ctx in
+        record_scan ctx;
+        ok
+
+      let validate_read_only ctx = validate_views ~owner:ctx.root.root_tx ctx
+      let iter_reads = iter_views
+
+      (* Committed children's views have joined the root's. *)
+      let reads ctx = Rwsets.Rset.length ctx.view
+    end)
+
+    let tx_id ctx = ctx.tx_id
+
+    let enter parent _ ~tx =
+      { tx_id = tx; root = parent.root; parent = Some parent;
+        view = Rwsets.Rset.create () }
+
+    let validate_child _ = ()
+
+    (* Outheritance: the child's critical view joins the parent's. *)
+    let merge ~parent ~parent_tx:_ child =
+      Rwsets.Rset.append_into ~src:child.view ~dst:parent.view
+  end)
+
+  let in_transaction = A.in_transaction
+  let atomic ?mode:_ f = A.atomic Stm_intf.Regular f
 end
 
 (** The default view-transaction instance. *)

@@ -32,6 +32,20 @@ let with_deadline f =
       Faults.disable ())
     f
 
+exception Foo
+
+(* Transactions whose recorded [Begin] never got a [Commit] or [Abort]. *)
+let unclosed events =
+  let open_txs = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Recorder.Begin { tx; _ } -> Hashtbl.replace open_txs tx ()
+      | Recorder.Commit { tx; _ } | Recorder.Abort { tx; _ } ->
+        Hashtbl.remove open_txs tx
+      | _ -> ())
+    events;
+  Hashtbl.length open_txs
+
 module Make (S : Stm_intf.S) = struct
   let test_raise_mid_commit () =
     with_deadline (fun () ->
@@ -108,10 +122,36 @@ module Make (S : Stm_intf.S) = struct
                    S.write ctx tv (S.read ctx tv + 1);
                    S.read ctx tv))))
 
+  (* A user exception leaving a child that the parent catches: flat
+     nesting keeps the child's write, the child is recorded as committed,
+     and the parent commits normally. *)
+  let test_nested_user_exception_caught () =
+    with_deadline (fun () ->
+        let a = S.tvar 0 in
+        let events, v =
+          Recorder.record (fun () ->
+              S.atomic (fun c ->
+                  (try
+                     S.atomic (fun c' ->
+                         S.write c' a 1;
+                         raise Foo)
+                   with Foo -> ());
+                  S.read c a))
+        in
+        Alcotest.(check int) "the parent sees the child's write" 1 v;
+        Alcotest.(check int) "and commits it" 1 (S.peek a);
+        Alcotest.(check int) "every recorded begin is closed" 0
+          (unclosed events);
+        Alcotest.(check bool) "no transaction left" false
+          (S.in_transaction ()))
+
   let cases =
     [ Alcotest.test_case
         (S.name ^ ": injected raise mid-commit leaves locks free") `Quick
         test_raise_mid_commit;
+      Alcotest.test_case
+        (S.name ^ ": user exception caught around a nested atomic") `Quick
+        test_nested_user_exception_caught;
       Alcotest.test_case (S.name ^ ": user exception in body rolls back")
         `Quick test_user_exception_in_body;
       Alcotest.test_case
@@ -193,10 +233,31 @@ module Boost_exn = struct
         Alcotest.(check bool) "stripe released: add commits" true
           (BSet.add s ka))
 
+  let test_nested_user_exception_caught () =
+    with_deadline (fun () ->
+        let s = BSet.create ~stripes () in
+        let events, present =
+          Recorder.record (fun () ->
+              Boosting.atomic (fun _ ->
+                  (try
+                     Boosting.atomic (fun _ ->
+                         ignore (BSet.add s ka);
+                         raise Foo)
+                   with Foo -> ());
+                  BSet.contains s ka))
+        in
+        Alcotest.(check bool) "the child's insert is kept" true present;
+        Alcotest.(check int) "every recorded begin is closed" 0
+          (unclosed events);
+        Alcotest.(check bool) "no transaction left" false
+          (Boosting.in_transaction ()))
+
   let cases =
     [ Alcotest.test_case
         "boosting: injected raise mid-pair undoes and releases" `Quick
         test_raise_mid_pair;
+      Alcotest.test_case "boosting: user exception caught around a nested \
+        atomic" `Quick test_nested_user_exception_caught;
       Alcotest.test_case "boosting: user exception in body rolls back"
         `Quick test_user_exception_in_body ]
 end

@@ -122,6 +122,27 @@ let test_recorded_view_outheritance () =
   Alcotest.(check int) "contains child protects its guard" 1
     (List.length (Histories.History.pmin h (List.hd children)))
 
+(* Detailed statistics see View-STM's footprint: one transaction, one
+   read-set sample holding its k critical reads. *)
+let test_footprint_recorded () =
+  let k = 5 in
+  let tvs = Array.init k V.tvar in
+  let saved = Stats.detailed_enabled () in
+  Stats.set_detailed true;
+  Stats.reset V.stats;
+  Fun.protect
+    ~finally:(fun () -> Stats.set_detailed saved)
+    (fun () ->
+      ignore
+        (V.atomic (fun ctx ->
+             Array.fold_left (fun acc tv -> acc + V.read ctx tv) 0 tvs)));
+  let snap = Stats.snapshot V.stats in
+  Alcotest.(check int) "one read-set sample" 1
+    (Stats.Hist.count snap.Stats.read_set_size);
+  Alcotest.(check int) "holding the k critical reads"
+    (Stats.Hist.upper_bound (Stats.Hist.bucket_of k))
+    (Stats.Hist.max_value snap.Stats.read_set_size)
+
 let suite =
   [ Alcotest.test_case "weak reads are not validated" `Quick
       test_weak_read_not_validated;
@@ -132,6 +153,8 @@ let suite =
     Alcotest.test_case "weak guard admits the Fig. 1 violation" `Slow
       test_weak_guard_breaks;
     Alcotest.test_case "recorded view outheritance" `Quick
-      test_recorded_view_outheritance ]
+      test_recorded_view_outheritance;
+    Alcotest.test_case "detailed stats record the footprint" `Quick
+      test_footprint_recorded ]
 
 let battery_suite = Battery.suite
