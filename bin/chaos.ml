@@ -4,41 +4,40 @@
    faults across a seed range, plus the forced-fallback scenario and a
    multi-domain stress run, and prints one summary line per engine.
    Exits non-zero if any engine shows a safety violation, so CI can gate
-   on it directly.
+   on it directly.  The subcommands [kill] and [crash-restart] run the
+   domain-kill and the crash-restart scenarios instead.
 
    Examples:
      dune exec bin/chaos.exe --                       # 20 seeds, all engines
      dune exec bin/chaos.exe -- --seeds 5 --runs 10   # short budget
-     dune exec bin/chaos.exe -- --engine oe --json chaos.json *)
+     dune exec bin/chaos.exe -- --engine oe --json chaos.json
+     dune exec bin/chaos.exe -- kill --sanitizer
+     dune exec bin/chaos.exe -- crash-restart --seeds 5 *)
 
 open Cmdliner
 
-let parse_engines s =
-  try
-    Ok
-      (List.map
-         (fun e -> Harness.Chaos.engine_of_string e)
-         (String.split_on_char ',' s))
-  with Invalid_argument m -> Error (`Msg m)
+let write_json json report =
+  Option.iter
+    (fun file ->
+      Harness.Report.write_file file report;
+      Printf.printf "## wrote %s\n%!" file)
+    json
 
-let engines_conv =
-  Arg.conv
-    ( parse_engines,
-      fun ppf es ->
-        Format.fprintf ppf "%s"
-          (String.concat "," (List.map Harness.Chaos.engine_name es)) )
+let verdict ok results =
+  let san = Harness.Knobs.sanitizer_verdict () in
+  if List.for_all ok results && san = 0 then 0 else 1
 
 (* Domain-kill mode: for each engine, crash killer domains mid-commit and
    check that survivors keep committing with recovery on AND that the same
    scenario wedges with recovery off.  Both directions must pass. *)
-let run_kill_mode engines lease_ns json sanitizer =
-  if sanitizer then Stm_core.Sanitizer.enable ();
-  Printf.printf "## Chaos domain-kill: lease=%dns%s\n%!" lease_ns
+let run_kill engines json lease_ns sanitizer =
+  Printf.printf "## Chaos domain-kill: lease=%dns%s\n%!"
+    (Option.value lease_ns ~default:Harness.Chaos.default_lease_ns)
     (if sanitizer then ", sanitizer on" else "");
   let results =
     List.concat_map
       (fun e ->
-        let on, off = Harness.Chaos.run_kill_both ~lease_ns e in
+        let on, off = Harness.Chaos.run_kill_both ?lease_ns e in
         List.iter
           (fun r ->
             Printf.printf
@@ -58,17 +57,8 @@ let run_kill_mode engines lease_ns json sanitizer =
         [ on; off ])
       engines
   in
-  (match json with
-  | None -> ()
-  | Some file ->
-    Harness.Report.write_file file (Harness.Chaos.kill_report_json results);
-    Printf.printf "## wrote %s\n%!" file);
-  if sanitizer then
-    List.iter
-      (fun v ->
-        Format.eprintf "sanitizer: %a@." Stm_core.Sanitizer.pp_violation v)
-      (Stm_core.Sanitizer.violations ());
-  if List.for_all Harness.Chaos.kill_ok results then 0 else 1
+  write_json json (Harness.Chaos.kill_report_json results);
+  verdict Harness.Chaos.kill_ok results
 
 (* Crash-restart mode: for each tvar engine, fork child workers that
    commit durable transfers into a write-ahead log, SIGKILL them
@@ -77,15 +67,11 @@ let run_kill_mode engines lease_ns json sanitizer =
    negative control with fsync disabled (sync_every = 0), which must
    demonstrably lose committed records — proving the kill actually lands
    before the data is safe, so the positive direction is meaningful. *)
-let run_restart_mode engines crash_seeds sync_every wal_path json =
+let run_restart engines json seeds (wal : Harness.Knobs.wal) =
   let engines =
     List.filter (fun e -> e <> Harness.Chaos.Boost) engines
   in
-  let seeds = List.init crash_seeds (fun i -> i + 1) in
-  Printf.printf
-    "## Chaos crash-restart: %d seed(s)/engine, sync_every=%d (+ no-sync \
-     negative control)\n%!"
-    crash_seeds sync_every;
+  let seeds = List.init seeds (fun i -> i + 1) in
   let print r =
     Printf.printf
       "%-10s sync_every=%-2d %s  commits=%d acked=%d recovered=%d \
@@ -100,46 +86,37 @@ let run_restart_mode engines crash_seeds sync_every wal_path json =
       | [] -> ""
       | l -> "  failed_seeds=" ^ String.concat "," (List.map string_of_int l))
   in
+  Printf.printf
+    "## Chaos crash-restart: %d seed(s)/engine (+ no-sync negative control)\n%!"
+    (List.length seeds);
+  let wal_path = wal.path in
   let results =
     List.concat_map
       (fun e ->
-        let wal_path =
-          match wal_path with
-          | Some p -> p
-          | None ->
-            Filename.concat (Filename.get_temp_dir_name ())
-              (Printf.sprintf "chaos-restart-%d.wal" (Unix.getpid ()))
+        let on =
+          Harness.Chaos.run_restart ~seeds ?sync_every:wal.sync_every
+            ?wal_path e
         in
-        let on = Harness.Chaos.run_restart ~seeds ~sync_every ~wal_path e in
         print on;
-        let off = Harness.Chaos.run_restart ~seeds ~sync_every:0 ~wal_path e in
+        let off = Harness.Chaos.run_restart ~seeds ~sync_every:0 ?wal_path e in
         print off;
         [ on; off ])
       engines
   in
-  (match json with
-  | None -> ()
-  | Some file ->
-    Harness.Report.write_file file
-      (Harness.Chaos.restart_report_json results);
-    Printf.printf "## wrote %s\n%!" file);
-  if List.for_all Harness.Chaos.restart_ok results then 0 else 1
+  write_json json (Harness.Chaos.restart_report_json results);
+  verdict Harness.Chaos.restart_ok results
 
-let run_chaos engines seeds runs stress_domains stress_txns json sanitizer
-    recovery lease_ns kill crash_restart crash_seeds wal_sync_every wal_path
-    =
-  if crash_restart then
-    run_restart_mode engines crash_seeds wal_sync_every wal_path json
-  else if kill then run_kill_mode engines lease_ns json sanitizer
-  else begin
+let run_faults engines json seeds runs stress_domains stress_txns sanitizer
+    recovery =
   let seeds = List.init seeds (fun i -> i + 1) in
-  if sanitizer then Stm_core.Sanitizer.enable ();
-  if recovery then Stm_core.Recovery.enable ~lease_ns ();
   Printf.printf
-    "## Chaos: %d seed(s)/engine, %d schedule(s)/seed, faults %s%s\n%!"
+    "## Chaos: %d seed(s)/engine, %d schedule(s)/seed, faults %s%s%s\n%!"
     (List.length seeds) runs
     (Stm_core.Faults.to_string Harness.Chaos.default_faults)
-    (if sanitizer then ", sanitizer on" else "");
+    (if sanitizer then ", sanitizer on" else "")
+    (match recovery with
+    | Some lease -> Printf.sprintf ", recovery lease %dns" lease
+    | None -> "");
   let results =
     List.map
       (fun e ->
@@ -171,31 +148,50 @@ let run_chaos engines seeds runs stress_domains stress_txns json sanitizer
         r)
       engines
   in
-  (match json with
-  | None -> ()
-  | Some file ->
-    Harness.Report.write_file file (Harness.Chaos.report_json results);
-    Printf.printf "## wrote %s\n%!" file);
-  if sanitizer then
-    List.iter
-      (fun v -> Format.eprintf "sanitizer: %a@." Stm_core.Sanitizer.pp_violation v)
-      (Stm_core.Sanitizer.violations ());
-  if recovery then Stm_core.Recovery.disable ();
-  if List.for_all Harness.Chaos.ok results then 0 else 1
-  end
+  write_json json (Harness.Chaos.report_json results);
+  verdict Harness.Chaos.ok results
+
+let engines =
+  Arg.(value
+       & opt
+           (list
+              (Harness.Knobs.conv_of Harness.Chaos.engine_of_string
+                 Harness.Chaos.engine_name))
+           Harness.Chaos.all_engines
+       & info [ "engine"; "e" ] ~docv:"LIST"
+           ~doc:"Comma-separated engines: oe, tl2, view, boost (default \
+                 all).")
+
+let json =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
+         ~doc:"Write a machine-readable JSON chaos report to $(docv).")
+
+let seeds =
+  Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N"
+         ~doc:"Seeds 1..$(docv) per engine: fault seeds, or kill timings \
+               in crash-restart.")
+
+let kill =
+  Cmd.v
+    (Cmd.info "kill"
+       ~doc:"Crash domains mid-commit (orphaning their locks) and require \
+             that survivors keep committing with recovery on, and that \
+             the same scenario wedges with recovery off.")
+    Term.(const run_kill $ engines $ json $ Harness.Knobs.lease_ns
+          $ Harness.Knobs.sanitizer)
+
+let crash_restart =
+  Cmd.v
+    (Cmd.info "crash-restart"
+       ~doc:"Fork child workers committing durable transfers into a \
+             write-ahead log, SIGKILL them mid-commit across the seed \
+             range, recover in the parent and check conservation and \
+             prefix durability; a no-sync negative control must \
+             demonstrably lose committed records.  Boosting is skipped \
+             (no tvar write set).")
+    Term.(const run_restart $ engines $ json $ seeds $ Harness.Knobs.wal)
 
 let cmd =
-  let engines =
-    Arg.(value
-         & opt engines_conv Harness.Chaos.all_engines
-         & info [ "engine"; "e" ] ~docv:"LIST"
-             ~doc:"Comma-separated engines: oe, tl2, view, boost (default \
-                   all).")
-  in
-  let seeds =
-    Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N"
-           ~doc:"Number of fault seeds per engine (seeds 1..N).")
-  in
   let runs =
     Arg.(value & opt int 30 & info [ "runs"; "r" ] ~docv:"N"
            ~doc:"Sampled schedules per seed.")
@@ -208,64 +204,14 @@ let cmd =
     Arg.(value & opt int 200 & info [ "stress-txns" ] ~docv:"N"
            ~doc:"Transactions per domain in the stress run.")
   in
-  let json =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write a machine-readable JSON chaos report to $(docv).")
-  in
-  let sanitizer =
-    Arg.(value & flag & info [ "sanitizer" ]
-           ~doc:"Enable the transactional sanitizer (Txsan) for the run; \
-                 the multi-domain stress phase is checked (schedule \
-                 exploration is simulated and exempt).  Any violation \
-                 fails the engine's verdict and the exit status.")
-  in
-  let recovery =
-    Arg.(value & flag & info [ "recovery" ]
-           ~doc:"Enable crash-tolerant orphan-lock recovery (registry, \
-                 lease-based reclamation) for the run.")
-  in
-  let lease_ns =
-    Arg.(value & opt int 10_000_000 & info [ "lease-ns" ] ~docv:"NS"
-           ~doc:"Heartbeat lease in nanoseconds: a lock owner whose \
-                 registry heartbeat is older than this is considered \
-                 stale and its locks may be reclaimed.")
-  in
-  let kill =
-    Arg.(value & flag & info [ "kill" ]
-           ~doc:"Run the domain-kill scenario instead: crash domains \
-                 mid-commit (orphaning their locks) and require that \
-                 survivors keep committing with recovery on, and that the \
-                 same scenario wedges with recovery off.")
-  in
-  let crash_restart =
-    Arg.(value & flag & info [ "crash-restart" ]
-           ~doc:"Run the crash-restart scenario instead: fork child \
-                 workers committing durable transfers into a write-ahead \
-                 log, SIGKILL them mid-commit across the seed range, \
-                 recover in the parent and check conservation and prefix \
-                 durability; a no-sync negative control must demonstrably \
-                 lose committed records.  Boosting is skipped (no tvar \
-                 write set).")
-  in
-  let crash_seeds =
-    Arg.(value & opt int 20 & info [ "crash-seeds" ] ~docv:"N"
-           ~doc:"Seeds (kill timings) per engine in crash-restart mode.")
-  in
-  let wal_sync_every =
-    Arg.(value & opt int 1 & info [ "wal-sync-every" ] ~docv:"N"
-           ~doc:"Group-commit knob for crash-restart mode: fsync the log \
-                 every $(docv) records (1 = every commit).")
-  in
-  let wal_path =
-    Arg.(value & opt (some string) None & info [ "wal-path" ] ~docv:"FILE"
-           ~doc:"Write-ahead-log file for crash-restart mode (default: a \
-                 per-process file under the temp directory).")
-  in
-  Cmd.v
+  Cmd.group
+    ~default:
+      Term.(const run_faults $ engines $ json $ seeds $ runs $ stress_domains
+            $ stress_txns $ Harness.Knobs.sanitizer
+            $ Harness.Knobs.recovery
+                ~default_lease_ns:Harness.Chaos.default_lease_ns ())
     (Cmd.info "chaos"
        ~doc:"Model-check all STM engines under deterministic fault injection")
-    Term.(const run_chaos $ engines $ seeds $ runs $ stress_domains
-          $ stress_txns $ json $ sanitizer $ recovery $ lease_ns $ kill
-          $ crash_restart $ crash_seeds $ wal_sync_every $ wal_path)
+    [ kill; crash_restart ]
 
 let () = exit (Cmd.eval' cmd)

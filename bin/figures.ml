@@ -1,80 +1,19 @@
 (* CLI regenerating the paper's evaluation figures.
 
    Examples:
-     dune exec bin/figures.exe -- --figure 6a
-     dune exec bin/figures.exe -- --figure all --threads 1,2,4,8,16 \
-       --duration 1.0 --runs 3
+     dune exec bin/figures.exe                              # every figure
+     dune exec bin/figures.exe -- --figure 6a,6b,6r --clock gv4 \
+       --json NEW.json --compare BENCH_6b.json --regress-pct 40
      dune exec bin/figures.exe -- --figure 6b --full        # paper settings
      dune exec bin/figures.exe -- --figure 8a --csv *)
 
 open Cmdliner
 
-let parse_threads s =
-  let parts = String.split_on_char ',' s in
-  let ints = List.filter_map int_of_string_opt parts in
-  if parts <> [] && List.length ints = List.length parts then Ok ints
-  else Error (`Msg "expected a comma-separated list of integers")
-
-let threads_conv = Arg.conv (parse_threads, fun ppf l ->
-    Format.fprintf ppf "%s" (String.concat "," (List.map string_of_int l)))
-
-let run_figures figure_str threads duration runs size_exp seed full csv json
-    cm clock retry_cap backoff_init backoff_max faults sanitizer recovery
-    lease_ns =
-  (* Robustness knobs first: they configure process-wide state that the
-     sweep reads, and the JSON report records them in its "config". *)
-  (match cm with
-  | None -> ()
-  | Some p ->
-    (match Stm_core.Cm.policy_of_string p with
-    | p -> Stm_core.Cm.set_policy p
-    | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2));
-  (match clock with
-  | None -> ()
-  | Some p ->
-    (match Stm_core.Clock.policy_of_string p with
-    | p -> Stm_core.Clock.set_policy p
-    | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2));
-  Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) retry_cap;
-  (try
-     Option.iter (fun i -> Stm_core.Backoff.set_defaults ~init:i ()) backoff_init;
-     Option.iter
-       (fun m -> Stm_core.Backoff.set_defaults ~max_window:m ())
-       backoff_max
-   with Invalid_argument m ->
-     Printf.eprintf "%s\n" m;
-     exit 2);
-  (match faults with
-  | None -> ()
-  | Some spec ->
-    (match Stm_core.Faults.parse spec with
-    | c -> Stm_core.Faults.enable c
-    | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2));
-  if sanitizer then begin
-    Stm_core.Sanitizer.enable ();
-    Printf.printf
-      "# sanitizer on: numbers are NOT comparable to clean runs\n%!"
-  end;
-  if recovery then begin
-    Stm_core.Recovery.enable ~lease_ns ();
-    Printf.printf "# recovery on: lease %dns\n%!" lease_ns
-  end;
-  let figures =
-    if figure_str = "all" then Harness.Figures.all
-    else
-      match Harness.Figures.of_string figure_str with
-      | Some f -> [ f ]
-      | None ->
-        Printf.eprintf "unknown figure %S (use 6a 6b 6r 7a 7b 8a 8b or all)\n"
-          figure_str;
-        exit 2
-  in
+let run_figures figures threads duration runs size_exp seed full csv json
+    comparison () sanitizer recovery () =
+  if sanitizer then
+    print_endline "# sanitizer on: numbers are NOT comparable to clean runs";
+  Option.iter (Printf.printf "# recovery on: lease %dns\n%!") recovery;
   let threads, duration, runs =
     if full then ([ 1; 2; 4; 8; 16; 32; 64 ], 10.0, 10)
     else (threads, duration, runs)
@@ -99,34 +38,79 @@ let run_figures figure_str threads duration runs size_exp seed full csv json
         if csv then Format.printf "%a%!" Harness.Figures.pp_csv r
         else Format.printf "%a%!" Harness.Figures.pp_result r;
         r)
-      figures
+      (List.concat figures)
   in
-  (match json with
-  | None -> ()
-  | Some file ->
-    Harness.Report.write_file file (Harness.Report.report results);
-    Printf.printf "# wrote %s\n%!" file);
-  if sanitizer then begin
-    let n = Stm_core.Sanitizer.violation_count () in
-    if n > 0 then begin
-      Printf.eprintf "# sanitizer: %d violation(s)\n" n;
-      List.iter
-        (fun v -> Format.eprintf "#   %a@." Stm_core.Sanitizer.pp_violation v)
-        (Stm_core.Sanitizer.violations ());
-      exit 1
-    end
-    else Printf.printf "# sanitizer: clean\n%!"
-  end;
-  0
+  let report = Harness.Report.report results in
+  Option.iter
+    (fun file ->
+      Harness.Report.write_file file report;
+      Printf.printf "# wrote %s\n%!" file)
+    json;
+  let compared =
+    match comparison with
+    | None -> 0
+    | Some (baseline_file, regress_pct) ->
+      Harness.Compare.check ~baseline_file ?regress_pct report
+  in
+  max compared (Harness.Knobs.sanitizer_verdict ())
+
+let figures =
+  let every = Harness.Figures.(F6r :: all) in
+  Arg.(value
+       & opt
+           (list
+              (enum
+                 (("all", Harness.Figures.all)
+                 :: List.map
+                      (fun f -> (Harness.Figures.short_name f, [ f ]))
+                      every)))
+           [ Harness.Figures.all ]
+       & info [ "figure"; "f" ] ~docv:"FIGS"
+           ~doc:"Comma-separated figures to regenerate: 6a, 6b, 7a, 7b, \
+                 8a, 8b, all (those six), or 6r, the read-heavy companion \
+                 of 6a/6b (5% updates, 1% bulk), where per-read write-set \
+                 lookups and read-set validation dominate.")
+
+(* The benchmark structures are not registered as persistent tvars, so
+   with a WAL open the sweep pays the per-commit durability hook but
+   appends nothing (see EXPERIMENTS.md). *)
+let durability =
+  let enable { Harness.Knobs.path; sync_every } =
+    match path with
+    | None when sync_every <> None -> Error (`Msg "--wal-sync-every needs --wal")
+    | None -> Ok ()
+    | Some path ->
+      Persist.enable ?sync_every ~path ();
+      Printf.printf "# durability on: wal=%s sync_every=%d\n%!" path
+        (Persist.wal_sync_every ());
+      Ok ()
+  in
+  Term.(term_result ~usage:true (const enable $ Harness.Knobs.wal))
+
+(* [--regress-pct] gates a comparison, so it is refused without one rather
+   than silently doing nothing. *)
+let comparison =
+  let baseline =
+    Arg.(value & opt (some file) None & info [ "compare" ] ~docv:"FILE"
+           ~doc:"After the sweep, print per-series ops/ms deltas against \
+                 the JSON report $(docv), e.g. BENCH_6a.json.")
+  in
+  let regress_pct =
+    Arg.(value & opt (some float) None & info [ "regress-pct" ] ~docv:"P"
+           ~doc:"With --compare, exit 1 if any series lost more than \
+                 $(docv) percent of the baseline's ops/ms.")
+  in
+  let pair baseline regress_pct =
+    match (baseline, regress_pct) with
+    | None, Some _ -> Error (`Msg "--regress-pct needs --compare")
+    | None, None -> Ok None
+    | Some b, r -> Ok (Some (b, r))
+  in
+  Term.(term_result ~usage:true (const pair $ baseline $ regress_pct))
 
 let cmd =
-  let figure =
-    Arg.(value & opt string "all" & info [ "figure"; "f" ] ~docv:"FIG"
-           ~doc:"Which figure to regenerate: 6a, 6b, 6r (read-heavy \
-                 companion), 7a, 7b, 8a, 8b or all.")
-  in
   let threads =
-    Arg.(value & opt threads_conv [ 1; 2; 4; 8 ] & info [ "threads"; "t" ]
+    Arg.(value & opt (list int) [ 1; 2; 4; 8 ] & info [ "threads"; "t" ]
            ~docv:"LIST" ~doc:"Comma-separated thread counts.")
   in
   let duration =
@@ -134,7 +118,7 @@ let cmd =
            ~doc:"Measured duration per point.")
   in
   let runs =
-    Arg.(value & opt int 1 & info [ "runs"; "r" ] ~docv:"N"
+    Arg.(value & opt int 2 & info [ "runs"; "r" ] ~docv:"N"
            ~doc:"Runs averaged per point.")
   in
   let size_exp =
@@ -159,63 +143,12 @@ let cmd =
                  BENCH_6a.json.  Enables detailed metrics (latency \
                  percentiles, rw-set sizes, retry depths).")
   in
-  let cm =
-    Arg.(value & opt (some string) None & info [ "cm" ] ~docv:"POLICY"
-           ~doc:"Contention-manager policy: backoff (default), karma or \
-                 timestamp.")
-  in
-  let clock =
-    Arg.(value & opt (some string) None & info [ "clock" ] ~docv:"POLICY"
-           ~doc:"Global-version-clock policy: gv1 (default, fetch-and-add \
-                 per commit), gv4 (CAS once, adopt the winner's value on \
-                 failure) or gv5 (commit at read+2, bump the clock on \
-                 aborts).  Recorded in the JSON report config.")
-  in
-  let retry_cap =
-    Arg.(value & opt (some int) None & info [ "retry-cap" ] ~docv:"N"
-           ~doc:"Optimistic retries before escalating to the \
-                 serial-irrevocable fallback (default 64).")
-  in
-  let backoff_init =
-    Arg.(value & opt (some int) None & info [ "backoff-init" ] ~docv:"N"
-           ~doc:"Initial backoff window in relaxation steps (default 16).")
-  in
-  let backoff_max =
-    Arg.(value & opt (some int) None & info [ "backoff-max" ] ~docv:"N"
-           ~doc:"Backoff window ceiling in relaxation steps (default 2^14).")
-  in
-  let faults =
-    Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC"
-           ~doc:"Enable fault injection, e.g. \
-                 seed=7,abort=0.01,lock=0.05,validate=0.05,delay=0.01. \
-                 For robustness experiments only - numbers measured with \
-                 faults on are not comparable to clean runs.")
-  in
-  let sanitizer =
-    Arg.(value & flag & info [ "sanitizer" ]
-           ~doc:"Enable the transactional sanitizer (Txsan): checks vlock \
-                 discipline, opacity at every read, escape hatches and \
-                 abort swallowing while the benchmark runs.  Adds a \
-                 \"sanitizer\" object to the JSON report and exits 1 on \
-                 any violation.  Numbers are not comparable to clean runs.")
-  in
-  let recovery =
-    Arg.(value & flag & info [ "recovery" ]
-           ~doc:"Enable crash-tolerant orphan-lock recovery (in-flight \
-                 registry, lease-based reclamation).  Adds a \"recovery\" \
-                 object to the JSON report.")
-  in
-  let lease_ns =
-    Arg.(value
-         & opt int Stm_core.Recovery.default_lease_ns
-         & info [ "lease-ns" ] ~docv:"NS"
-             ~doc:"Heartbeat lease in nanoseconds before a lock owner is \
-                   considered stale and its locks reclaimable.")
-  in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the figures of Composing Relaxed Transactions (IPDPS'13)")
-    Term.(const run_figures $ figure $ threads $ duration $ runs $ size_exp
-          $ seed $ full $ csv $ json $ cm $ clock $ retry_cap $ backoff_init
-          $ backoff_max $ faults $ sanitizer $ recovery $ lease_ns)
+    (* The knobs that change process-wide state come last, so they apply
+       only once every other argument converted. *)
+    Term.(const run_figures $ figures $ threads $ duration $ runs $ size_exp
+          $ seed $ full $ csv $ json $ comparison $ Harness.Knobs.engine
+          $ Harness.Knobs.sanitizer $ Harness.Knobs.recovery () $ durability)
 
 let () = exit (Cmd.eval' cmd)

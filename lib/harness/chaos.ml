@@ -580,10 +580,15 @@ let run_all ?seeds ?runs_per_seed ?stress_domains ?stress_txns () =
     (fun e -> run_engine ?seeds ?runs_per_seed ?stress_domains ?stress_txns e)
     all_engines
 
+(** The chaos scenarios' heartbeat lease (10 ms): well under the 300 ms
+    wedge timeout, so that with recovery on the survivors reclaim orphaned
+    locks long before they would time out. *)
+let default_lease_ns = 10_000_000
+
 (* Recovery counters are process-global (steal sites live below the engine
    instances), so [run_kill] resets and snapshots them around one run. *)
 let run_kill ?(killers = 2) ?(survivors = 3) ?(txns = 64)
-    ?(lease_ns = 10_000_000) ~recovery engine =
+    ?(lease_ns = default_lease_ns) ~recovery engine =
   Faults.reset_counts ();
   Stats.reset_recovery_counters ();
   let san0 = Sanitizer.violation_count () in
@@ -802,7 +807,8 @@ end
 
 let run_restart ?(seeds = default_seeds) ?(sync_every = 1)
     ?(wal_path = Filename.concat (Filename.get_temp_dir_name ())
-                   "chaos-restart.wal") engine =
+                   (Printf.sprintf "chaos-restart-%d.wal" (Unix.getpid ())))
+    engine =
   if Sys.win32 then invalid_arg "Chaos.run_restart: requires fork(2)";
   if seeds = [] then invalid_arg "Chaos.run_restart: empty seed list";
   let run_seed = Restart.run_seed_for engine in

@@ -1,4 +1,4 @@
-(** Comparing two benchmark reports ([bench/main.exe --compare]).
+(** Comparing two benchmark reports ([bin/figures.exe --compare]).
 
     A report is flattened into (figure, series, threads) -> ops/ms points;
     the delta table pairs up the keys present in both reports and computes
@@ -80,3 +80,32 @@ let pp_table ppf deltas =
   Format.fprintf ppf "%-4s %-14s %-6s %25s %9s@." "fig" "series" "thr"
     "baseline -> current" "delta";
   List.iter (fun d -> Format.fprintf ppf "%a@." pp_delta d) deltas
+
+(** [check ~baseline_file ?regress_pct current] prints the delta table of
+    the [current] report against the one in [baseline_file] and returns
+    the exit status: 2 if the baseline cannot be read, 1 if [regress_pct]
+    is given and some series lost more than that many percent, else 0. *)
+let check ~baseline_file ?regress_pct current =
+  match load baseline_file with
+  | Error msg ->
+    Printf.eprintf "# compare: cannot load %s: %s\n" baseline_file msg;
+    2
+  | Ok baseline ->
+    let deltas = diff ~baseline ~current in
+    Printf.printf "\n# Comparison against %s\n%!" baseline_file;
+    if deltas = [] then
+      print_endline "# no overlapping (figure, series, threads) points"
+    else Format.printf "%a%!" pp_table deltas;
+    match regress_pct with
+    | None -> 0
+    | Some threshold_pct ->
+      (match regressions ~threshold_pct deltas with
+      | [] ->
+        Printf.printf "# compare: no series regressed more than %.1f%%\n%!"
+          threshold_pct;
+        0
+      | bad ->
+        Printf.eprintf "# compare: %d series regressed more than %.1f%%\n"
+          (List.length bad) threshold_pct;
+        List.iter (fun d -> Format.eprintf "#   %a@." pp_delta d) bad;
+        1)

@@ -237,6 +237,59 @@ let test_json_end_to_end () =
         series
     | _ -> Alcotest.fail "figure has no series")
 
+(* [Harness.Knobs.engine] on a command line: [true] once the knobs are
+   applied, [false] on a command-line error. *)
+let eval_engine args =
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "knobs") Harness.Knobs.engine in
+  let err = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match
+    Cmdliner.Cmd.eval_value ~err ~argv:(Array.of_list ("knobs" :: args)) cmd
+  with
+  | Ok (`Ok ()) -> true
+  | Ok (`Help | `Version) | Error _ -> false
+
+let test_knobs_engine () =
+  let module R = Harness.Report in
+  let cm = Stm_core.Cm.current_policy ()
+  and clock = Stm_core.Clock.current_policy ()
+  and retry_cap = !Stm_core.Runtime.retry_cap
+  and init, max_window = Stm_core.Backoff.defaults () in
+  let config () = R.to_string (R.config_to_json ()) in
+  let before = config () in
+  Fun.protect
+    ~finally:(fun () ->
+      Stm_core.Cm.set_policy cm;
+      Stm_core.Clock.set_policy clock;
+      Stm_core.Runtime.retry_cap := retry_cap;
+      Stm_core.Backoff.set_defaults ~init ~max_window ())
+    (fun () ->
+      List.iter
+        (fun args ->
+          Alcotest.(check bool)
+            (String.concat " " args ^ " is refused")
+            false (eval_engine args))
+        [ [ "--cm"; "karma"; "--clock"; "gv9" ];
+          [ "--cm"; "karma"; "--faults"; "abort=2" ];
+          [ "--cm"; "karma"; "--faults"; "abort" ];
+          [ "--cm"; "karma"; "--retry-cap"; "x" ];
+          [ "--cm"; "karma"; "--backoff-init"; "64"; "--backoff-max"; "8" ] ];
+      Alcotest.(check string) "a refused line applies nothing" before
+        (config ());
+      Alcotest.(check bool) "knobs applied" true
+        (eval_engine
+           [ "--cm"; "karma"; "--clock"; "gv5"; "--retry-cap"; "7";
+             "--backoff-init"; "4"; "--backoff-max"; "256" ]);
+      let got = R.config_to_json () in
+      List.iter
+        (fun (key, want) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "config.%s = %s" key (R.to_string want))
+            true
+            (R.member key got = Some want))
+        [ ("cm", R.Str "karma"); ("clock", R.Str "gv5");
+          ("retry_cap", R.Int 7); ("backoff_init", R.Int 4);
+          ("backoff_max", R.Int 256) ])
+
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;
     Alcotest.test_case "prng split independence" `Quick
@@ -255,4 +308,6 @@ let suite =
       test_timing_window;
     Alcotest.test_case "detailed metrics in the sweep" `Slow
       test_detailed_metrics;
-    Alcotest.test_case "JSON report end-to-end" `Slow test_json_end_to_end ]
+    Alcotest.test_case "JSON report end-to-end" `Slow test_json_end_to_end;
+    Alcotest.test_case "engine knobs parse and apply" `Quick
+      test_knobs_engine ]
