@@ -8,6 +8,12 @@ type figure = F6a | F6b | F6r | F7a | F7b | F8a | F8b
 
 let all = [ F6a; F6b; F7a; F7b; F8a; F8b ]
 
+(* The read-dominated companion sweep: linked-list traversals are the
+   workload where per-read write-set lookups and read-set revalidation
+   dominate, so this is the series that exposes set-indexing regressions
+   (or wins).  [F6r] drops the update ratio to 5%. *)
+let read_heavy = [ F6a; F6b; F6r ]
+
 let of_string = function
   | "6a" -> Some F6a
   | "6b" -> Some F6b

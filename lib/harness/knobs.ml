@@ -91,8 +91,8 @@ let sanitizer =
            ~doc:"Enable the transactional sanitizer (Txsan) for the run: \
                  vlock discipline, opacity at every read, escape hatches \
                  and abort swallowing are checked live, and any violation \
-                 fails the run.  Adds a \"sanitizer\" object to the JSON \
-                 report.  Numbers are not comparable to clean runs.")
+                 fails the run and is recorded in the JSON report.  \
+                 Numbers are not comparable to clean runs.")
   in
   Term.(const (fun on -> if on then Stm_core.Sanitizer.enable (); on) $ flag)
 

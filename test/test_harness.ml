@@ -79,7 +79,7 @@ let test_figure_wiring () =
     (fun f ->
       Alcotest.(check bool) "short name roundtrips" true
         (Harness.Figures.of_string (Harness.Figures.short_name f) = Some f))
-    Harness.Figures.all
+    Harness.Figures.(all @ read_heavy)
 
 let test_targets_run_every_op () =
   (* Every (structure, STM) target must accept every op constructor. *)
