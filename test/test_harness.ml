@@ -237,16 +237,20 @@ let test_json_end_to_end () =
         series
     | _ -> Alcotest.fail "figure has no series")
 
-(* [Harness.Knobs.engine] on a command line: [true] once the knobs are
-   applied, [false] on a command-line error. *)
+(* [Harness.Knobs.engine] on a command line: [`Ok] once the knobs are
+   applied, [`Parse] for a malformed value, [`Term] for values that are
+   well-formed but do not go together. *)
 let eval_engine args =
   let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "knobs") Harness.Knobs.engine in
   let err = Format.make_formatter (fun _ _ _ -> ()) ignore in
   match
     Cmdliner.Cmd.eval_value ~err ~argv:(Array.of_list ("knobs" :: args)) cmd
   with
-  | Ok (`Ok ()) -> true
-  | Ok (`Help | `Version) | Error _ -> false
+  | Ok (`Ok ()) -> "ok"
+  | Ok (`Help | `Version) -> "help"
+  | Error `Parse -> "parse error"
+  | Error `Term -> "term error"
+  | Error `Exn -> "exception"
 
 let test_knobs_engine () =
   let module R = Harness.Report in
@@ -264,18 +268,18 @@ let test_knobs_engine () =
       Stm_core.Backoff.set_defaults ~init ~max_window ())
     (fun () ->
       List.iter
-        (fun args ->
-          Alcotest.(check bool)
-            (String.concat " " args ^ " is refused")
-            false (eval_engine args))
-        [ [ "--cm"; "karma"; "--clock"; "gv9" ];
-          [ "--cm"; "karma"; "--faults"; "abort=2" ];
-          [ "--cm"; "karma"; "--faults"; "abort" ];
-          [ "--cm"; "karma"; "--retry-cap"; "x" ];
-          [ "--cm"; "karma"; "--backoff-init"; "64"; "--backoff-max"; "8" ] ];
+        (fun (args, want) ->
+          Alcotest.(check string) (String.concat " " args) want
+            (eval_engine args))
+        [ ([ "--cm"; "karma"; "--clock"; "gv9" ], "parse error");
+          ([ "--cm"; "karma"; "--faults"; "abort=2" ], "parse error");
+          ([ "--cm"; "karma"; "--faults"; "abort" ], "parse error");
+          ([ "--cm"; "karma"; "--retry-cap"; "x" ], "parse error");
+          ( [ "--cm"; "karma"; "--backoff-init"; "64"; "--backoff-max"; "8" ],
+            "term error" ) ];
       Alcotest.(check string) "a refused line applies nothing" before
         (config ());
-      Alcotest.(check bool) "knobs applied" true
+      Alcotest.(check string) "knobs applied" "ok"
         (eval_engine
            [ "--cm"; "karma"; "--clock"; "gv5"; "--retry-cap"; "7";
              "--backoff-init"; "4"; "--backoff-max"; "256" ]);
