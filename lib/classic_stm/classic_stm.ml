@@ -68,8 +68,7 @@ module Make (P : POLICY) :
     match Rwsets.Wset.find ctx.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
@@ -100,7 +99,7 @@ module Make (P : POLICY) :
               Stats.record_validation_len stats
                 (Rwsets.Rset.last_scan ctx.rset);
             ok);
-      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.rec_state ~tx:ctx.cur_tx ~pe v;
       v
 
   (* Eager lock acquisition with the two-phase contention manager: priority
@@ -135,7 +134,7 @@ module Make (P : POLICY) :
       Txrec.acquire ctx.rec_state ~pe;
       if P.eager_write_lock then acquire_write_lock ctx tv
     end;
-    Txrec.write ctx.rec_state ~tx:ctx.cur_tx ~pe ~repr:(Recorder.repr_of_value v)
+    Txrec.write ctx.rec_state ~tx:ctx.cur_tx ~pe v
 
   module A = Attempt.Make (struct
     type nonrec ctx = ctx

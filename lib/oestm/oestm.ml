@@ -154,8 +154,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     match Rwsets.Wset.find ctx.root.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
@@ -198,8 +197,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
             let ok = validate_levels_new ~owner ctx in
             record_scan ctx;
             ok);
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
 
   let write : type a. ctx -> a tvar -> a -> unit =
@@ -217,8 +215,7 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
     end;
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
-    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe
-      ~repr:(Recorder.repr_of_value v)
+    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe v
 
   (* DSTM-style early release (Section II.A of the paper: "the protection
      element is released when the release operation of the transactional

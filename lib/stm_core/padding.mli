@@ -7,10 +7,11 @@
     [Atomic.t] living in an oversized block behaves identically — it just
     no longer shares its cache line with neighbouring allocations.
 
-    Use this for long-lived, heavily shared cells (the global clock, lock
-    stamps, per-domain stat shards, the serial-irrevocable token).  Do not
-    bother for short-lived or rarely contended data: each padded cell costs
-    at least 128 bytes. *)
+    Use this for long-lived cells that many domains hit (the global clock,
+    per-domain stat shards, registry slots, the serial-irrevocable token).
+    Do not use it for short-lived data or for per-location metadata: each
+    padded cell costs at least 128 bytes, which is why per-tvar locks
+    ({!Vlock.create}) are left unpadded. *)
 
 val cache_line_words : int
 (** Padding granule in words (128 bytes on 64-bit). *)

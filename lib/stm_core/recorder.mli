@@ -39,4 +39,7 @@ val record : (unit -> 'a) -> event list * 'a
 
 val repr_of_value : 'a -> int
 (** Structural fingerprint used as the operation's return/argument value in
-    recorded events.  Equal values map to equal fingerprints. *)
+    recorded events.  Equal values map to equal fingerprints.  The engines
+    compute it only while a sink is installed ({!Txrec.read} and
+    {!Txrec.write} take the value and hash it on their recording branch),
+    so an unrecorded read never pays for the hash. *)

@@ -80,12 +80,18 @@ let bump_abort_generation () = incr (Domain.DLS.get abort_gen)
 let abort_generation () = !(Domain.DLS.get abort_gen)
 let set_abort_generation n = Domain.DLS.get abort_gen := n
 
-let read t ~tx ~pe ~repr =
+(* The fingerprint is taken inside the [Some] branch: [Hashtbl.hash] walks
+   the value (on a list node, into the next node's tvar and lock), and an
+   eagerly evaluated argument would pay that on every read with no sink
+   installed. *)
+let read t ~tx ~pe v =
   match t with
   | None -> ()
-  | Some _ -> Recorder.emit (Read { pe; tx; value_repr = repr })
+  | Some _ ->
+    Recorder.emit (Read { pe; tx; value_repr = Recorder.repr_of_value v })
 
-let write t ~tx ~pe ~repr =
+let write t ~tx ~pe v =
   match t with
   | None -> ()
-  | Some _ -> Recorder.emit (Write { pe; tx; value_repr = repr })
+  | Some _ ->
+    Recorder.emit (Write { pe; tx; value_repr = Recorder.repr_of_value v })

@@ -32,8 +32,13 @@ val release : t option -> pe:int -> unit
 val release_remaining : t option -> unit
 (** Release every hold (used right after the top-level commit). *)
 
-val read : t option -> tx:int -> pe:int -> repr:int -> unit
-val write : t option -> tx:int -> pe:int -> repr:int -> unit
+val read : t option -> tx:int -> pe:int -> 'a -> unit
+(** [read t ~tx ~pe v] records that [tx] read [v] from [pe].  The value's
+    fingerprint ({!Recorder.repr_of_value}) is computed only on [Some], i.e.
+    only while a sink is installed; on [None] the call costs one branch. *)
+
+val write : t option -> tx:int -> pe:int -> 'a -> unit
+(** Like {!read}, for a write of [v]. *)
 
 (** {2 Abort generation}
 

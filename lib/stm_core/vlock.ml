@@ -16,17 +16,24 @@ type t = {
 
 let no_pe = -2
 
-(* Both the stamp cell and the record around it are padded: the stamp is
-   CASed by every writer of the location, and [owner_id]/[saved] are
-   written on each acquisition — sharing a line with a neighbouring lock
-   would couple unrelated locations' commit paths. *)
+(* Per-location locks are not padded.  There is one per tvar, and
+   padding the record and its stamp cell to a cache line each made a tvar
+   ~72 words where a sequential list node is 3: a 2^12-node list no longer
+   fitted in L2, and every traversal paid for it.  Unpadded, a tvar is 14
+   words (tvar 4, lock 6, stamp 2, claim 2).  False sharing between
+   neighbouring locks costs less than that footprint even where locations
+   are written concurrently: on bench/suite's 2-worker [list-contend]
+   workload (2 vCPUs, 5 alternating pairs, both sides hashing only while
+   recording) unpadded locks beat padded ones in every pair, OE-STM by
+   14% and TL2 by 3% in the median.  Padding stays on the cells every
+   domain hits: the clock, [Runtime.Serial]'s holder, registry slots,
+   stats shards and boosting's durable floor. *)
 let create ?(pe = no_pe) () =
-  Padding.copy_as_padded
-    { stamp_cell = Padding.atomic 0;
-      claim = Atomic.make (-1);
-      owner_id = -1;
-      saved = 0;
-      pe }
+  { stamp_cell = Atomic.make 0;
+    claim = Atomic.make (-1);
+    owner_id = -1;
+    saved = 0;
+    pe }
 
 let pe t = t.pe
 

@@ -90,8 +90,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     match Rwsets.Wset.find ctx.root.wset tv with
     | Some v ->
       if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv)
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
       v
     | None ->
       if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
@@ -120,8 +119,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
             let ok = validate_views_new ~owner:ctx.root.root_tx ctx in
             record_scan ctx;
             ok);
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       v
 
   (* Weak read: consistent at the moment it happens, never revalidated.
@@ -132,13 +130,16 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
    fun ctx tv ->
     Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
     match Rwsets.Wset.find ctx.root.wset tv with
-    | Some v -> v
+    | Some v ->
+      (* Served from the write set, whose first write already holds the
+         element: record the read as [read] does, with no acquire. *)
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
+      v
     | None ->
       let _, v = Tvar.read_consistent tv in
       let pe = Tvar.id tv in
       Txrec.acquire ctx.root.rec_state ~pe;
-      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe
-        ~repr:(Recorder.repr_of_value v);
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
       Txrec.release ctx.root.rec_state ~pe;
       v
 
@@ -148,8 +149,7 @@ end) : S with type 'a tvar = 'a Tvar.t = struct
     let pe = Tvar.id tv in
     let first = Rwsets.Wset.add ctx.root.wset tv v in
     if first then Txrec.acquire ctx.root.rec_state ~pe;
-    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe
-      ~repr:(Recorder.repr_of_value v)
+    Txrec.write ctx.root.rec_state ~tx:ctx.tx_id ~pe v
 
   let rec iter_views ctx f =
     Rwsets.Rset.iter f ctx.view;

@@ -34,6 +34,7 @@ let () =
        ("composition", Test_composition.suite);
        ("elastic", Test_elastic.suite);
        ("convert", Test_convert.suite);
+       ("recording", Test_recording.suite);
        ("harness", Test_harness.suite);
        ("boosting", Test_boosting.suite);
        ("ablation", Test_ablation.suite);

@@ -76,8 +76,17 @@ let test_parallel_mutual_exclusion () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no lost increments" (4 * per_domain) !counter
 
+(* A tvar's whole footprint: the tvar record (4 words with its header), its
+   lock record (6), the stamp cell (2) and the recovery claim cell (2).
+   Per-tvar locks are deliberately unpadded (see [Vlock.create]); padding
+   them again would show here as ~72 words. *)
+let test_tvar_footprint () =
+  Alcotest.(check int) "words reachable from one int tvar" 14
+    (Obj.reachable_words (Obj.repr (Tvar.make 0)))
+
 let suite =
   [ Alcotest.test_case "fresh unlocked" `Quick test_fresh_unlocked;
+    Alcotest.test_case "tvar footprint" `Quick test_tvar_footprint;
     Alcotest.test_case "lock / unlock_to" `Quick test_lock_unlock_to;
     Alcotest.test_case "unlock_restore" `Quick test_unlock_restore;
     Alcotest.test_case "locked_by after restore" `Quick
