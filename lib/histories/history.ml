@@ -87,11 +87,6 @@ let by_proc h p =
            | Some tx -> proc_of_tx h tx = p
            | None -> false))
 
-(** Operation events on object [o]. *)
-let ops_on h o =
-  Array.to_list h
-  |> List.filter (function Op { obj; _ } -> obj = o | _ -> false)
-
 let objects h =
   Array.to_list h
   |> List.filter_map (function Op { obj; _ } -> Some obj | _ -> None)
@@ -103,14 +98,6 @@ let pes h =
        | Acquire { pe; _ } | Release { pe; _ } -> Some pe
        | _ -> None)
   |> List.sort_uniq compare
-
-(** [(op, value)] projection of the operation events on [o] — the paper's
-    [opseq(H|o)]. *)
-let opseq_on h o =
-  Array.to_list h
-  |> List.filter_map (function
-       | Op { obj; op; value; _ } when obj = o -> Some (op, value)
-       | _ -> None)
 
 (** Operation events of committed transactions, in history order. *)
 let committed_ops h =

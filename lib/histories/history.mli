@@ -55,18 +55,11 @@ val by_proc : t -> int -> Event.t list
 (** [H|p]: events involving process [p], operations attributed through
     their transaction. *)
 
-val ops_on : t -> int -> Event.t list
-(** Operation events on one object. *)
-
 val objects : t -> int list
 (** Objects that appear in operation events, ascending. *)
 
 val pes : t -> int list
 (** Protection elements that appear in acquire/release events. *)
-
-val opseq_on : t -> int -> (Event.op * int) list
-(** The paper's [opseq(H|o)]: the (operation, return value) projection of
-    the operations on object [o], in history order. *)
 
 val committed_ops : t -> Event.t list
 (** [committed-ops(H)]: operation events of committed transactions. *)

@@ -3,5 +3,4 @@ external now_ns : unit -> (int64[@unboxed])
   [@@noalloc]
 
 let elapsed_ns t0 = Int64.to_int (Int64.sub (now_ns ()) t0)
-let ns_to_ms ns = Int64.to_float ns /. 1e6
 let elapsed_ms ~t0 ~t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6

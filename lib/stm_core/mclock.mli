@@ -12,7 +12,5 @@ val elapsed_ns : int64 -> int
 (** [elapsed_ns t0] is [now_ns () - t0] as an [int] (53+ bits is ample:
     2^62 ns is ~146 years). *)
 
-val ns_to_ms : int64 -> float
-
 val elapsed_ms : t0:int64 -> t1:int64 -> float
 (** [t1 - t0] in milliseconds. *)

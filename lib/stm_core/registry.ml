@@ -195,8 +195,6 @@ let domain_doomed ~domain =
   | None -> false
   | Some s -> Atomic.get s.generation > Atomic.get s.published
 
-let is_saturated () = Atomic.get saturated
-
 let live_count () =
   let n = ref 0 in
   Array.iter

@@ -8,8 +8,8 @@
     Ordering contract: {!publish} happens before the first lock
     acquisition of the attempt, {!clear} after the last release.  A lock
     owner with no live slot therefore exited abnormally — unless the table
-    ever saturated ({!is_saturated}), after which absence stops implying
-    death and only explicitly dead/stale slots are reclaimable. *)
+    ever saturated (a slot claim failed), after which absence stops
+    implying death and only explicitly dead/stale slots are reclaimable. *)
 
 type status =
   | Live   (** slot present, heartbeat within the lease *)
@@ -66,9 +66,6 @@ val owner_status : lease_ns:int -> owner:int -> status
 
 val domain_status : lease_ns:int -> domain:int -> status
 (** Status of the domain (process) id [domain]; same absence rule. *)
-
-val is_saturated : unit -> bool
-(** A slot claim ever failed; absence-based death inference is disabled. *)
 
 val live_count : unit -> int
 (** Number of slots currently publishing a live in-flight transaction

@@ -10,14 +10,6 @@ type access =
 
 let clock_pe = -1
 
-let pp_access ppf = function
-  | Pure -> Format.fprintf ppf "pure"
-  | Read pe when pe = clock_pe -> Format.fprintf ppf "R(clock)"
-  | Write pe when pe = clock_pe -> Format.fprintf ppf "W(clock)"
-  | Read pe -> Format.fprintf ppf "R(%d)" pe
-  | Write pe -> Format.fprintf ppf "W(%d)" pe
-  | Lock pe -> Format.fprintf ppf "L(%d)" pe
-
 let proc_hook = ref (fun () -> (Domain.self () :> int))
 let current_proc () = !proc_hook ()
 

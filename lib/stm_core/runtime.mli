@@ -23,8 +23,6 @@ type access =
 val clock_pe : int
 (** Reserved protection-element id of the global version clock. *)
 
-val pp_access : Format.formatter -> access -> unit
-
 val proc_hook : (unit -> int) ref
 (** Returns the id of the current logical process.  Default: domain id. *)
 

@@ -17,7 +17,7 @@ let rentry_valid ~owner (e : rentry) =
     (* The stamp changed; still fine if it is our own write lock over the
        version we observed (stamp = seen lor 1 set by our try_lock). *)
     Vlock.locked s
-    && Vlock.owner e.r_lock = owner
+    && Vlock.holder e.r_lock = owner
     && Vlock.version_of s = Vlock.version_of e.r_seen
 
 module Rset = struct
@@ -121,10 +121,10 @@ type wentry =
       tv : 'a Tvar.t;
       mutable pending : 'a;
       mutable locked : bool;
-      (* Pre-lock stamp observed by our own try_lock, recorded per entry:
-         under recovery the lock's shared [saved] field can already belong
-         to a thief's next locker by the time we unwind, so CAS-based
-         releases must work from this private copy. *)
+      (* Pre-lock stamp observed by our own try_lock.  Releases CAS from
+         its locked image: after a steal the lock's current stamp can
+         belong to a thief's next locker, so only this private copy
+         identifies the lock as ours. *)
       mutable w_saved : int;
     }
       -> wentry
@@ -267,11 +267,9 @@ module Wset = struct
     Vec.iter
       (fun (W e) ->
         if e.locked then begin
-          if !Runtime.recovery then
-            (* CAS-based: fails silently if a thief already took the lock;
-               the stamp is then no longer ours to restore. *)
-            ignore (Vlock.unlock_restore_from e.tv.Tvar.lock ~saved:e.w_saved)
-          else Vlock.unlock_restore e.tv.Tvar.lock;
+          (* Fails silently if a thief already took the lock; the stamp is
+             then no longer ours to restore. *)
+          ignore (Vlock.unlock_restore_from e.tv.Tvar.lock ~saved:e.w_saved);
           e.locked <- false
         end)
       t.entries
@@ -352,41 +350,29 @@ module Wset = struct
     Vec.iter
       (fun (W e) ->
         assert e.locked;
-        if !Runtime.recovery then begin
-          (* A thief may take this lock mid-install (lease expiry under
-             extreme delay).  The stamp pre-check and the content write
-             below are NOT atomic: a steal landing between them still
-             clobbers the freshly stolen location.  That residual window
-             is inherent to lease-based reclamation (DESIGN.md 5h) — the
-             pre-check narrows it from the whole install loop to a couple
-             of instructions, the poisoned version the thief minted means
-             readers treat the location as "too new" and re-read rather
-             than validate a torn value, and the failed release CAS below
-             detects the steal after the fact.  What IS guaranteed is
-             that a stolen lock is never unlocked out from under its new
-             owner (both releases go through an exact-stamp CAS), and
-             that a detected steal never turns into a silently-reported
-             full commit. *)
-          if Vlock.stamp e.tv.Tvar.lock = e.w_saved lor 1 then begin
-            (Tvar.unsafe_write e.tv e.pending
-           [@txlint.allow "stm-escape"
-               "commit-time install: the write lock is held and the \
-                version stamp advances right after"]);
-            if
-              not
-                (Vlock.unlock_to_from e.tv.Tvar.lock ~saved:e.w_saved
-                   ~version:wv)
-            then stolen := true
-          end
-          else stolen := true
-        end
-        else begin
+        (* With recovery on, a thief may take this lock mid-install (lease
+           expiry under extreme delay).  The stamp pre-check and the
+           content write below are NOT atomic: a steal landing between them
+           still clobbers the freshly stolen location.  That residual window
+           is inherent to lease-based reclamation (DESIGN.md 5h) — the
+           pre-check narrows it from the whole install loop to a couple of
+           instructions, the poisoned version the thief minted means readers
+           treat the location as "too new" and re-read rather than validate
+           a torn value, and the failed release CAS below detects the steal
+           after the fact.  What IS guaranteed is that a stolen lock is never
+           unlocked out from under its new owner (both releases go through
+           an exact-stamp CAS), and that a detected steal never turns into a
+           silently-reported full commit. *)
+        let lock = e.tv.Tvar.lock in
+        if Vlock.stamp lock = e.w_saved lor 1 then begin
           (Tvar.unsafe_write e.tv e.pending
            [@txlint.allow "stm-escape"
                "commit-time install: the write lock is held and the \
                 version stamp advances right after"]);
-          Vlock.unlock_to e.tv.Tvar.lock ~version:wv
-        end;
+          if not (Vlock.unlock_to_from lock ~saved:e.w_saved ~version:wv) then
+            stolen := true
+        end
+        else stolen := true;
         e.locked <- false)
       t.entries;
     (* A stolen entry means part of the write set is published and part is
@@ -427,6 +413,6 @@ module Wset = struct
       (fun (W e) ->
         let lock = e.tv.Tvar.lock in
         let s = Vlock.stamp lock in
-        (not (Vlock.locked s)) || Vlock.owner lock = owner)
+        (not (Vlock.locked s)) || Vlock.holder lock = owner)
       t.entries
 end

@@ -111,7 +111,7 @@ module Wset : sig
   val install_and_unlock : t -> wv:int -> unit
   (** Write every pending value into its tvar and release the lock,
       publishing version [wv].  All entries must be locked by the caller.
-      Under recovery, entries whose lock was stolen mid-install are not
+      Entries whose lock recovery stole mid-install are not
       unlocked (the thief owns them now) and — detection permitting — not
       written; after the loop has released every lock still held, a
       detected steal raises {!Control.Abort_tx}[ Poisoned] and bumps the
@@ -122,8 +122,8 @@ module Wset : sig
 
   val unlock_all_restore : t -> unit
   (** Release every lock this set acquired, restoring pre-lock stamps (abort
-      path).  Under recovery the releases are CAS-based and skip entries
-      whose lock was stolen in the meantime. *)
+      path).  The releases are CAS-based and skip entries whose lock was
+      stolen in the meantime. *)
 
   val forget_locks : t -> unit
   (** Mark every entry unlocked {e without} releasing anything: the

@@ -351,17 +351,3 @@ let reset_durable_counters () =
 let abort_rate (s : snapshot) =
   let total = s.commits + s.aborts in
   if total = 0 then 0.0 else float_of_int s.aborts /. float_of_int total
-
-let pp_snapshot ppf (s : snapshot) =
-  Format.fprintf ppf "commits=%d aborts=%d (%.1f%%)" s.commits s.aborts
-    (100.0 *. abort_rate s);
-  List.iter
-    (fun (r, n) -> Format.fprintf ppf " %s=%d" (Control.reason_to_string r) n)
-    s.by_reason;
-  if s.fallbacks > 0 then Format.fprintf ppf " fallbacks=%d" s.fallbacks;
-  if s.starvations > 0 then Format.fprintf ppf " starvations=%d" s.starvations;
-  if s.timeouts > 0 then Format.fprintf ppf " timeouts=%d" s.timeouts;
-  if Hist.count s.commit_latency_ns > 0 then
-    Format.fprintf ppf " commit-p50<=%dns p99<=%dns"
-      (Hist.percentile s.commit_latency_ns 50.0)
-      (Hist.percentile s.commit_latency_ns 99.0)

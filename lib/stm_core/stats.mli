@@ -162,5 +162,3 @@ val reset_durable_counters : unit -> unit
 
 val abort_rate : snapshot -> float
 (** aborts / (aborts + commits), or 0 when no transaction ran. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -46,7 +46,7 @@ let unsafe_write tv v =
   if !Runtime.sanitizer then begin
     let s = Vlock.stamp tv.lock in
     let locked_owner =
-      if Vlock.locked s then Some (Vlock.owner tv.lock) else None
+      if Vlock.locked s then Some (Vlock.holder tv.lock) else None
     in
     Runtime.sanitizer_event
       (Runtime.San_unsafe_write { pe = tv.id; locked_owner })

@@ -1,6 +1,7 @@
 (* Stamp layout: [version lsl 1] lor [locked bit].  A locked stamp keeps the
    version that was current when the lock was taken, so readers that observe
-   a locked stamp still learn the last committed version.
+   a locked stamp still learn the last committed version, and an abort can
+   restore the lock by clearing the bit.
 
    Every lock knows its protection-element id [pe] so that stamp loads and
    lock transitions can report themselves to the deterministic scheduler's
@@ -8,9 +9,7 @@
 
 type t = {
   stamp_cell : int Atomic.t;
-  claim : int Atomic.t;     (* recovery-mode holder identity, -1 = none *)
-  mutable owner_id : int;   (* written only by the lock holder *)
-  mutable saved : int;      (* stamp to restore on abort, ditto *)
+  claim : int Atomic.t;     (* holder identity, -1 = none *)
   pe : int;
 }
 
@@ -19,8 +18,8 @@ let no_pe = -2
 (* Per-location locks are not padded.  There is one per tvar, and
    padding the record and its stamp cell to a cache line each made a tvar
    ~72 words where a sequential list node is 3: a 2^12-node list no longer
-   fitted in L2, and every traversal paid for it.  Unpadded, a tvar is 14
-   words (tvar 4, lock 6, stamp 2, claim 2).  False sharing between
+   fitted in L2, and every traversal paid for it.  Unpadded, a tvar is 12
+   words (tvar 4, lock 4, stamp 2, claim 2).  False sharing between
    neighbouring locks costs less than that footprint even where locations
    are written concurrently: on bench/suite's 2-worker [list-contend]
    workload (2 vCPUs, 5 alternating pairs, both sides hashing only while
@@ -29,11 +28,7 @@ let no_pe = -2
    domain hits: the clock, [Runtime.Serial]'s holder, registry slots,
    stats shards and boosting's durable floor. *)
 let create ?(pe = no_pe) () =
-  { stamp_cell = Atomic.make 0;
-    claim = Atomic.make (-1);
-    owner_id = -1;
-    saved = 0;
-    pe }
+  { stamp_cell = Atomic.make 0; claim = Atomic.make (-1); pe }
 
 let pe t = t.pe
 
@@ -47,136 +42,89 @@ let version_of s = s lsr 1
 (* The acquisition core, shared by [try_lock] and [try_lock_save]:
    returns the observed pre-lock stamp, or -1 on failure.
 
-   [owner_id] is a plain field written only after the winning stamp CAS,
-   which is fine for its consumers (self-ownership checks) but means a
-   concurrent reader can pair a freshly locked stamp with the *previous*
-   owner.  Recovery must never do that — dooming and stealing on a stale
-   identity would poison the wrong transaction and take the lock from its
-   live holder — so under recovery the acquisition is a two-word protocol:
-   the locker first CASes [claim] from -1 to its own id, and only then
-   CASes the stamp.  While a claim is held no other recovery-mode locker
-   can take the stamp, so a locked stamp always pairs with its holder's
-   claim; the claim is cleared only {e after} the stamp transition on
-   release (and by the thief after a steal), so the invariant
+   Acquisition is a two-word protocol: the locker first CASes [claim]
+   from -1 to its own id, and only then CASes the stamp.  While a claim
+   is held no other locker can take the stamp, so a locked stamp always
+   pairs with its holder's claim; the claim is cleared only {e after} the
+   stamp transition on release (and by the thief after a steal), so the
+   invariant
 
      locked stamp /\ claim >= 0  ==>  claim = current holder
 
-   holds at every instant.  Recovery reads identity exclusively through
-   [holder] (the claim), never through [owner_id]. *)
-let acquire_from t ~owner s =
-  if Atomic.compare_and_set t.stamp_cell s (s lor 1) then begin
-    t.owner_id <- owner;
-    t.saved <- s;
-    if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_acquire { pe = t.pe; owner; version = s lsr 1 });
-    s
-  end
-  else -1
-
+   holds at every instant.  Recovery reads the victim of a steal from
+   the claim, so dooming and stealing can never target a stale
+   predecessor. *)
 let try_lock_aux t ~owner =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
   if !Runtime.fault_injection && Faults.inject_lock_fail () then -1
   else
   let s = Atomic.get t.stamp_cell in
   if locked s then -1
-  else if not !Runtime.recovery then acquire_from t ~owner s
   else if Atomic.compare_and_set t.claim (-1) owner then begin
-    let r = acquire_from t ~owner s in
-    (* With the claim held the stamp cannot be locked by anyone else, so
-       this back-out is only reachable in mixed-mode runs (a lock acquired
-       before recovery was enabled, released concurrently). *)
-    if r < 0 then ignore (Atomic.compare_and_set t.claim owner (-1));
-    r
+    if Atomic.compare_and_set t.stamp_cell s (s lor 1) then begin
+      if !Runtime.sanitizer then
+        Runtime.sanitizer_event
+          (Runtime.San_acquire { pe = t.pe; owner; version = s lsr 1 });
+      s
+    end
+    else begin
+      (* The lock cycled (taken and released, or stolen) between the
+         stamp read and the claim: back out so the next locker can claim. *)
+      ignore (Atomic.compare_and_set t.claim owner (-1));
+      -1
+    end
   end
   else -1
 
 let try_lock t ~owner = try_lock_aux t ~owner >= 0
 
 (* Like [try_lock], but returns the observed pre-lock stamp (-1 on
-   failure).  Callers that may have their lock stolen (recovery enabled)
-   record the returned stamp per write-set entry and release with the
-   CAS-based [unlock_restore_from]/[unlock_to_from]: the shared [saved]
-   field can be overwritten by a thief's next locker before the victim
-   unwinds, so it cannot be trusted for a CAS-based release. *)
+   failure).  Write sets record it per entry and release with the
+   CAS-based [unlock_restore_from]/[unlock_to_from]: once a thief has
+   stolen the lock, the current stamp may belong to the thief's next
+   locker, so only the locker's own copy identifies its lock. *)
 let try_lock_save t ~owner = try_lock_aux t ~owner
 
-let owner t = t.owner_id
-
 let holder t = Atomic.get t.claim
-
-(* Clear [me]'s claim after the stamp transition of a release.  Only
-   called on paths where the caller still held the lock at the stamp
-   transition (so the claim is necessarily [me] or already -1); a release
-   CAS that failed because the lock was stolen must NOT call this — by
-   then the thief owns the handover and a new locker's claim may be in
-   the cell.  The cheap read makes the recovery-off case (claim never
-   set) free. *)
-let clear_claim t ~me =
-  if Atomic.get t.claim >= 0 then
-    ignore (Atomic.compare_and_set t.claim me (-1))
-
-let owner_opt t =
-  let s = Atomic.get t.stamp_cell in
-  if locked s then Some t.owner_id else None
 
 let locked_by t ~owner =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Read t.pe);
   let s = Atomic.get t.stamp_cell in
-  locked s && t.owner_id = owner
+  locked s && Atomic.get t.claim = owner
 
-let unlock_restore t =
+(* CAS-based release: succeeds only if the stamp is still the locked
+   image of [saved], i.e. the lock was not stolen.  ABA is impossible
+   because stolen locks transition to a strictly larger (poisoned)
+   version and versions never decrease.  The holder's claim is cleared
+   after the stamp transition by a CAS from the holder's id, with no
+   [claim >= 0] guard, so a lock taken under any id (a negative one too)
+   is released whole.  A release whose CAS failed must not touch the
+   claim: the thief owns the handover and a new locker's claim may be in
+   the cell.  The sanitizer event fires between the stamp transition and
+   the claim clear: no locker can take the lock while the claim is held,
+   so no acquire event can overtake the release. *)
+let release t ~saved ~next ~restore =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if !Runtime.sanitizer then
-    Runtime.sanitizer_event
-      (Runtime.San_release { pe = t.pe; owner = t.owner_id; version = None });
-  let me = t.owner_id in
-  Atomic.set t.stamp_cell t.saved;
-  clear_claim t ~me
-
-let unlock_to t ~version =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if !Runtime.sanitizer then
-    Runtime.sanitizer_event
-      (Runtime.San_release
-         { pe = t.pe; owner = t.owner_id; version = Some version });
-  let me = t.owner_id in
-  Atomic.set t.stamp_cell (version lsl 1);
-  clear_claim t ~me
-
-(* CAS-based releases, used when recovery may steal the lock out from
-   under its owner: the release succeeds only if the stamp is still the
-   locked image of [saved], i.e. the lock was not stolen.  ABA is
-   impossible because stolen locks transition to a strictly larger
-   (poisoned) version and versions never decrease.  The sanitizer event
-   fires between the stamp transition and the claim clear: no recovery-mode
-   locker can take the lock while the claim is held, so no acquire event
-   can overtake the release. *)
-let unlock_restore_from t ~saved =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  let me = t.owner_id in
-  let released = Atomic.compare_and_set t.stamp_cell (saved lor 1) saved in
+  let me = Atomic.get t.claim in
+  let released = Atomic.compare_and_set t.stamp_cell (saved lor 1) next in
   if released then begin
     if !Runtime.sanitizer then
       Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = None });
-    clear_claim t ~me
+        (Runtime.San_release
+           { pe = t.pe;
+             owner = me;
+             version = (if restore then None else Some (version_of next)) });
+    ignore (Atomic.compare_and_set t.claim me (-1))
   end;
   released
+
+let unlock_restore_from t ~saved = release t ~saved ~next:saved ~restore:true
 
 let unlock_to_from t ~saved ~version =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  let me = t.owner_id in
-  let released =
-    Atomic.compare_and_set t.stamp_cell (saved lor 1) (version lsl 1)
-  in
-  if released then begin
-    if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_release { pe = t.pe; owner = me; version = Some version });
-    clear_claim t ~me
-  end;
-  released
+  release t ~saved ~next:(version lsl 1) ~restore:false
+
+let unlock_restore t =
+  ignore (unlock_restore_from t ~saved:(Atomic.get t.stamp_cell land lnot 1))
 
 (* Recovery-only: transition a lock observed locked (stamp = [observed])
    to unlocked poisoned [version].  Two things make the steal sound: the
@@ -201,8 +149,8 @@ let steal t ~observed ~victim ~version =
     locked observed
     && Atomic.compare_and_set t.stamp_cell observed (version lsl 1)
   then begin
-    (* Report before displacing the claim, for the same reason as the
-       CAS-based releases above. *)
+    (* Report before displacing the claim, for the same reason as
+       [release] above. *)
     if !Runtime.sanitizer then
       Runtime.sanitizer_event
         (Runtime.San_steal { pe = t.pe; victim; version = Some version });

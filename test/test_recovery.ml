@@ -156,11 +156,11 @@ let test_stale_steal_poisons_victim () =
       Alcotest.(check bool) "lock stays free at the stolen version" false
         (Vlock.locked (Vlock.stamp lock)))
 
-(* The claim cell: recovery-mode acquisitions publish the holder identity
+(* The claim cell: every acquisition publishes the holder identity
    atomically with the acquisition (claim CAS before stamp CAS, cleared
    only after the release transition), so a thief reading [Vlock.holder]
-   against a locked stamp always sees the actual holder — never the stale
-   previous owner the plain [Vlock.owner] field can expose. *)
+   against a locked stamp always sees the actual holder, never a stale
+   previous owner. *)
 let test_claim_tracks_holder () =
   with_recovery (fun () ->
       let lock = Vlock.create () in
@@ -190,6 +190,25 @@ let test_claim_tracks_holder () =
       Alcotest.(check bool) "stolen lock is re-acquirable" true
         (Vlock.try_lock lock ~owner:7102);
       Vlock.unlock_restore lock)
+
+(* A lock taken while recovery is off carries its holder's claim too, so a
+   domain that dies holding it leaves a lock that recovery, once enabled,
+   reclaims. *)
+let test_recovery_off_lock_is_reclaimable () =
+  Alcotest.(check bool) "recovery is off" false (Recovery.enabled ());
+  let lock = Vlock.create () in
+  let d =
+    Domain.spawn (fun () ->
+        Alcotest.(check bool) "victim acquired its lock" true
+          (Vlock.try_lock lock ~owner:7200))
+  in
+  Domain.join d;
+  with_recovery (fun () ->
+      Alcotest.(check bool) "dead owner's lock is stolen" true
+        (Recovery.try_steal_vlock lock);
+      Alcotest.(check bool) "stolen lock is free" false
+        (Vlock.locked (Vlock.stamp lock));
+      Alcotest.(check int) "stolen: no holder" (-1) (Vlock.holder lock))
 
 (* Install backstop: a steal landing after lock_all leaves the write set
    part-published.  install_and_unlock must finish releasing what it still
@@ -391,6 +410,8 @@ let suite =
       test_stale_steal_poisons_victim;
     Alcotest.test_case "claim cell tracks the holder" `Quick
       test_claim_tracks_holder;
+    Alcotest.test_case "lock taken with recovery off is reclaimable" `Quick
+      test_recovery_off_lock_is_reclaimable;
     Alcotest.test_case "stolen install aborts poisoned" `Quick
       test_stolen_install_aborts_poisoned;
     Alcotest.test_case "boosting: poisoned victim aborts" `Quick

@@ -64,10 +64,10 @@ let test_rset_validate () =
   Alcotest.(check bool) "valid while unchanged" true
     (Rwsets.Rset.validate rs ~owner:1);
   (* Simulate a foreign commit. *)
-  ignore (Vlock.try_lock a.Tvar.lock ~owner:9);
+  let saved = Vlock.try_lock_save a.Tvar.lock ~owner:9 in
   Alcotest.(check bool) "invalid while foreign-locked" false
     (Rwsets.Rset.validate rs ~owner:1);
-  Vlock.unlock_to a.Tvar.lock ~version:5;
+  ignore (Vlock.unlock_to_from a.Tvar.lock ~saved ~version:5);
   Alcotest.(check bool) "invalid after version bump" false
     (Rwsets.Rset.validate rs ~owner:1)
 
@@ -208,9 +208,10 @@ let prop_rset_watermark =
           entries := !entries @ [ e ];
           (* Invalidate every third location behind the set's back. *)
           if i mod 3 = 0 then begin
-            ignore (Vlock.try_lock tv.Tvar.lock ~owner:999);
-            Vlock.unlock_to tv.Tvar.lock
-              ~version:(Vlock.version_of (Vlock.stamp tv.Tvar.lock) + 1)
+            let saved = Vlock.try_lock_save tv.Tvar.lock ~owner:999 in
+            ignore
+              (Vlock.unlock_to_from tv.Tvar.lock ~saved
+                 ~version:(Vlock.version_of saved + 1))
           end;
           let wm = Rwsets.Rset.validated_upto rs in
           let inc = Rwsets.Rset.validate_new rs ~owner:1 in
@@ -233,8 +234,8 @@ let test_rset_suffix_only_semantics () =
   Alcotest.(check bool) "initial validate" true (Rwsets.Rset.validate rs ~owner:1);
   Alcotest.(check int) "watermark covers a" 1 (Rwsets.Rset.validated_upto rs);
   (* Foreign commit overwrites a. *)
-  ignore (Vlock.try_lock a.Tvar.lock ~owner:9);
-  Vlock.unlock_to a.Tvar.lock ~version:5;
+  let saved = Vlock.try_lock_save a.Tvar.lock ~owner:9 in
+  ignore (Vlock.unlock_to_from a.Tvar.lock ~saved ~version:5);
   push_read rs b;
   Alcotest.(check bool) "suffix-only scan skips stale prefix" true
     (Rwsets.Rset.validate_new rs ~owner:1);

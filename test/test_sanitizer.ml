@@ -205,8 +205,9 @@ let test_broken_engine_commit_stale () =
       let l = Vlock.create ~pe:424242 () in
       let seen = Vlock.stamp l in  (* unlocked, version 0 *)
       (* Another commit moves the location to version 1... *)
-      Alcotest.(check bool) "lock free" true (Vlock.try_lock l ~owner:88);
-      Vlock.unlock_to l ~version:1;
+      let saved = Vlock.try_lock_save l ~owner:88 in
+      Alcotest.(check bool) "lock free" true (saved >= 0);
+      ignore (Vlock.unlock_to_from l ~saved ~version:1);
       (* ...and the broken engine still commits its version-0 read at
          wv 2 without validating. *)
       let entry =
@@ -217,8 +218,9 @@ let test_broken_engine_commit_stale () =
         (san_kind Sanitizer.Commit_stale);
       (* Post-validation interference (version beyond wv) is benign and
          must not be flagged. *)
-      Alcotest.(check bool) "lock free" true (Vlock.try_lock l ~owner:88);
-      Vlock.unlock_to l ~version:5;
+      let saved = Vlock.try_lock_save l ~owner:88 in
+      Alcotest.(check bool) "lock free" true (saved >= 0);
+      ignore (Vlock.unlock_to_from l ~saved ~version:5);
       Sanitizer.on_commit ~owner:99 ~wv:2 (fun f -> f entry);
       Alcotest.(check int) "newer interference not flagged" 1
         (san_kind Sanitizer.Commit_stale))

@@ -194,10 +194,24 @@ let composition_of h =
     match Composition.make h of_p1 with Ok c -> Some c | Error _ -> None
   else None
 
+(* Every property draws a (seed, spec) case.  A failing case prints the
+   seed, the history it builds and the composition under test, so a CI
+   failure shows its counterexample. *)
+let print_case (seed, spec) =
+  let h = build_history seed spec in
+  let members =
+    match composition_of h with
+    | Some c -> Composition.members c
+    | None -> []
+  in
+  Format.asprintf "interleaving seed %d@\n%acomposition {%s}" seed History.pp h
+    (String.concat ", " (List.map (Printf.sprintf "t%d") members))
+
+let case_arb = QCheck.(set_print print_case (pair small_int (make spec_gen)))
+
 let prop_theorem_4_4 =
   QCheck.Test.make ~name:"Theorem 4.4: outheritance => weakly composable"
-    ~count:300
-    QCheck.(pair small_int (make spec_gen))
+    ~count:300 case_arb
     (fun (seed, spec) ->
       let h = build_history seed spec in
       match History.well_formed h with
@@ -221,7 +235,7 @@ let prop_theorem_4_4 =
 let prop_self_witness =
   QCheck.Test.make
     ~name:"a legal relax-serial history is relax-serializable" ~count:300
-    QCheck.(pair small_int (make spec_gen))
+    case_arb
     (fun (seed, spec) ->
       let h = build_history seed spec in
       match History.well_formed h with
@@ -234,7 +248,7 @@ let prop_self_witness =
 
 let prop_strong_implies_weak =
   QCheck.Test.make ~name:"strongly composable => weakly composable" ~count:150
-    QCheck.(pair small_int (make spec_gen))
+    case_arb
     (fun (seed, spec) ->
       let h = build_history seed spec in
       match History.well_formed h with
