@@ -11,7 +11,8 @@
     per-domain stat shards, registry slots, the serial-irrevocable token).
     Do not use it for short-lived data or for per-location metadata: each
     padded cell costs at least 128 bytes, which is why per-tvar locks
-    ({!Vlock.create}) are left unpadded. *)
+    ({!Vlock.create}) are left unpadded (a tvar with its lock is 12
+    words, 96 bytes). *)
 
 val cache_line_words : int
 (** Padding granule in words (128 bytes on 64-bit). *)

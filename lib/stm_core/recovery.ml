@@ -5,10 +5,9 @@
    past the lease, the contender steals the lock.  The protocol, in order:
 
    0. read the victim's identity from the lock's claim cell
-      ({!Vlock.holder}), which recovery-mode acquisitions populate
-      {e before} their stamp CAS — never from the plain owner field,
-      which is written after it and can name a stale previous owner
-      against a freshly locked stamp;
+      ({!Vlock.holder}), which every acquisition populates {e before}
+      its stamp CAS, so it never names a stale previous owner against a
+      freshly locked stamp;
    1. doom the victim's slot (generation bump) — a resurrected victim now
       fails its poison check before installing anything;
    2. mint a poisoned version strictly above the version observed under
@@ -85,18 +84,14 @@ let try_steal_vlock lock =
        let s = Vlock.stamp lock in
        Vlock.locked s
        && begin
-            (* Identity comes from the claim cell, never from the plain
-               owner field: the field is written only after the winning
-               stamp CAS, so against a freshly locked stamp it can still
-               name the previous — possibly dead — owner, and dooming that
-               wrong owner would let the steal take the lock from a live,
-               undoomed holder.  The claim is CASed in before the stamp
-               CAS and cleared only after the release/steal transition
-               ([Vlock.try_lock]'s protocol), so [holder >= 0] against a
-               locked stamp is always the actual holder.  -1 means a
-               release or steal handover is in flight (or the lock predates
-               recovery being enabled): refuse and let the contender
-               re-probe. *)
+            (* Identity comes from the claim cell, which is CASed in
+               before the stamp CAS and cleared only after the
+               release/steal transition ([Vlock.try_lock]'s protocol), so
+               [holder >= 0] against a locked stamp is always the actual
+               holder, never a previous (possibly dead) one whose doom
+               would let the steal take the lock from a live, undoomed
+               holder.  -1 means a release or steal handover is in
+               flight: refuse and let the contender re-probe. *)
             let victim = Vlock.holder lock in
             victim >= 0
             && begin

@@ -21,7 +21,10 @@ val default_lease_ns : int
 val enable : ?lease_ns:int -> unit -> unit
 (** Turn recovery on: sets {!Runtime.recovery}, installs the heartbeat and
     serial-reclaim hooks, and records the lease (default
-    {!default_lease_ns}). *)
+    {!default_lease_ns}).  Locks taken before this call are reclaimable
+    too, so call it while no transaction is in flight: one that started
+    with recovery off has no registry slot, and its locks read as
+    orphaned. *)
 
 val disable : unit -> unit
 

@@ -39,8 +39,11 @@ let stamp t =
 let locked s = s land 1 = 1
 let version_of s = s lsr 1
 
-(* The acquisition core, shared by [try_lock] and [try_lock_save]:
-   returns the observed pre-lock stamp, or -1 on failure.
+(* Acquisition returns the observed pre-lock stamp, or -1 on failure.
+   Write sets record the stamp per entry and release with the CAS-based
+   [unlock_restore_from]/[unlock_to_from]: once a thief has stolen the
+   lock, the current stamp may belong to the thief's next locker, so only
+   the locker's own copy identifies its lock.
 
    Acquisition is a two-word protocol: the locker first CASes [claim]
    from -1 to its own id, and only then CASes the stamp.  While a claim
@@ -54,7 +57,7 @@ let version_of s = s lsr 1
    holds at every instant.  Recovery reads the victim of a steal from
    the claim, so dooming and stealing can never target a stale
    predecessor. *)
-let try_lock_aux t ~owner =
+let try_lock_save t ~owner =
   if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
   if !Runtime.fault_injection && Faults.inject_lock_fail () then -1
   else
@@ -68,22 +71,15 @@ let try_lock_aux t ~owner =
       s
     end
     else begin
-      (* The lock cycled (taken and released, or stolen) between the
-         stamp read and the claim: back out so the next locker can claim. *)
+      (* The lock was taken and released (or stolen) between the stamp
+         read and our claim: back out so the next locker can claim. *)
       ignore (Atomic.compare_and_set t.claim owner (-1));
       -1
     end
   end
   else -1
 
-let try_lock t ~owner = try_lock_aux t ~owner >= 0
-
-(* Like [try_lock], but returns the observed pre-lock stamp (-1 on
-   failure).  Write sets record it per entry and release with the
-   CAS-based [unlock_restore_from]/[unlock_to_from]: once a thief has
-   stolen the lock, the current stamp may belong to the thief's next
-   locker, so only the locker's own copy identifies its lock. *)
-let try_lock_save t ~owner = try_lock_aux t ~owner
+let try_lock t ~owner = try_lock_save t ~owner >= 0
 
 let holder t = Atomic.get t.claim
 
