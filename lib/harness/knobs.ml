@@ -19,16 +19,9 @@ let conv_of parse print =
         | exception Invalid_argument m -> Error (`Msg m)),
       fun ppf v -> Format.pp_print_string ppf (print v) )
 
-(** [--cm], [--clock], [--retry-cap], [--backoff-init], [--backoff-max] and
-    [--faults].  The JSON report records all of them in its "config". *)
+(** [--clock], [--retry-cap] and [--faults].  The JSON report records all
+    of them in its "config".  A negative retry cap is refused. *)
 let engine =
-  let cm =
-    Arg.(value
-         & opt (some (conv_of Stm_core.Cm.policy_of_string Stm_core.Cm.policy_name)) None
-         & info [ "cm" ] ~docv:"POLICY"
-             ~doc:"Contention-manager policy: backoff (default), karma or \
-                   timestamp.")
-  in
   let clock =
     Arg.(value
          & opt
@@ -45,15 +38,7 @@ let engine =
   let retry_cap =
     Arg.(value & opt (some int) None & info [ "retry-cap" ] ~docv:"N"
            ~doc:"Optimistic retries before escalating to the \
-                 serial-irrevocable fallback (default 64).")
-  in
-  let backoff_init =
-    Arg.(value & opt (some int) None & info [ "backoff-init" ] ~docv:"N"
-           ~doc:"Initial backoff window in relaxation steps (default 16).")
-  in
-  let backoff_max =
-    Arg.(value & opt (some int) None & info [ "backoff-max" ] ~docv:"N"
-           ~doc:"Backoff window ceiling in relaxation steps (default 2^14).")
+                 serial-irrevocable fallback (default 64, at least 0).")
   in
   let faults =
     Arg.(value
@@ -66,22 +51,16 @@ let engine =
                    For robustness experiments only - numbers measured with \
                    faults on are not comparable to clean runs.")
   in
-  let apply cm clock retry_cap init max_window faults =
-    (* [Backoff.create] checks the window pair the defaults would become,
-       before anything is set. *)
-    match Stm_core.Backoff.create ?init ?max_window () with
-    | exception Invalid_argument m -> Error (`Msg m)
+  let apply clock retry_cap faults =
+    match retry_cap with
+    | Some n when n < 0 -> Error (`Msg "--retry-cap must be at least 0")
     | _ ->
-      Stm_core.Backoff.set_defaults ?init ?max_window ();
-      Option.iter Stm_core.Cm.set_policy cm;
       Option.iter Stm_core.Clock.set_policy clock;
       Option.iter (fun n -> Stm_core.Runtime.retry_cap := n) retry_cap;
       Option.iter Stm_core.Faults.enable faults;
       Ok ()
   in
-  Term.(term_result ~usage:true
-          (const apply $ cm $ clock $ retry_cap $ backoff_init $ backoff_max
-           $ faults))
+  Term.(term_result ~usage:true (const apply $ clock $ retry_cap $ faults))
 
 (** [--sanitizer]: turns Txsan on for the whole run and evaluates to
     whether it is on.  End the run with {!sanitizer_verdict}. *)

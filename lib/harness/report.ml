@@ -7,8 +7,8 @@
 
     {v
     { "schema_version": 2,
-      "config": { "cm": ..., "retry_cap": ..., "starvation_mode": ...,
-                  "tx_timeout_ns": ..., "backoff_init": ..., "backoff_max": ...,
+      "config": { "clock": ..., "retry_cap": ..., "starvation_mode": ...,
+                  "tx_timeout_ns": ...,
                   "faults": null | { "spec": ..., rates..., "injected": {...} } },
       "figures": [
         { "figure": "6a", "title": ..., "workload": {...},
@@ -356,11 +356,11 @@ let figure_to_json (r : Figures.figure_result) =
       ("threads", List (List.map (fun t -> Int t) r.Figures.threads));
       ("series", List (List.map series_to_json r.Figures.series)) ]
 
-(* Runtime configuration snapshot: which contention manager, retry cap,
-   backoff parameters and fault-injection settings produced the numbers.
-   Read at report-generation time, so it reflects what the CLIs set. *)
+(* Runtime configuration snapshot: which clock policy, retry cap,
+   starvation mode, deadline and fault-injection settings produced the
+   numbers.  Read at report-generation time, so it reflects what the CLIs
+   set. *)
 let config_to_json () =
-  let init, max_window = Stm_core.Backoff.defaults () in
   let faults =
     match Stm_core.Faults.current () with
     | None -> Null
@@ -384,8 +384,7 @@ let config_to_json () =
                    (Stm_core.Faults.counts ())) ) ])
   in
   Obj
-    [ ("cm", Str (Stm_core.Cm.policy_name (Stm_core.Cm.current_policy ())));
-      (* Additive since the clock grew GV1/GV4/GV5 policies; the schema
+    [ (* Additive since the clock grew GV1/GV4/GV5 policies; the schema
          version stays 2 (absent = "gv1" in older reports). *)
       ( "clock",
         Str (Stm_core.Clock.policy_name (Stm_core.Clock.current_policy ())) );
@@ -399,8 +398,6 @@ let config_to_json () =
         match !Stm_core.Runtime.tx_timeout_ns with
         | None -> Null
         | Some ns -> Int ns );
-      ("backoff_init", Int init);
-      ("backoff_max", Int max_window);
       ("faults", faults) ]
 
 (* Sanitizer verdict: [null] when the run was not sanitized (so old

@@ -25,17 +25,14 @@ type point = {
   stats : Stm_core.Stats.snapshot;  (** accumulated over runs *)
 }
 
-let run_point ?(detailed = false) ?cm ?faults (module T : Target.TARGET) ~cfg
+let run_point ?(detailed = false) ?faults (module T : Target.TARGET) ~cfg
     ~threads ~duration ~runs ~seed =
   let was_detailed = Stm_core.Stats.detailed_enabled () in
-  let saved_policy = Stm_core.Cm.current_policy () in
   let saved_faults = Stm_core.Faults.current () in
   Stm_core.Stats.set_detailed detailed;
-  (match cm with Some p -> Stm_core.Cm.set_policy p | None -> ());
   (match faults with Some c -> Stm_core.Faults.enable c | None -> ());
   let restore () =
     Stm_core.Stats.set_detailed was_detailed;
-    Stm_core.Cm.set_policy saved_policy;
     if Option.is_some faults then
       match saved_faults with
       | Some c -> Stm_core.Faults.enable c
@@ -105,11 +102,11 @@ let run_point ?(detailed = false) ?cm ?faults (module T : Target.TARGET) ~cfg
     stats = snap }
 
 (** One series: the same target across the thread axis. *)
-let run_series ?detailed ?cm ?faults (module T : Target.TARGET) ~cfg ~threads
+let run_series ?detailed ?faults (module T : Target.TARGET) ~cfg ~threads
     ~duration ~runs ~seed =
   List.map
     (fun n ->
-      run_point ?detailed ?cm ?faults
+      run_point ?detailed ?faults
         (module T : Target.TARGET)
         ~cfg ~threads:n ~duration ~runs ~seed)
     threads

@@ -54,6 +54,8 @@ let dependent (a : t) (b : t) =
   in
   go 0 0
 
+let iter f (t : t) = Array.iter (fun e -> f ~loc:e.loc ~stores:e.stores) t
+
 (* Single-annotation variant, used for documentation and sanity tests:
    matches [dependent] on one-access footprints. *)
 let dependent_access a b =

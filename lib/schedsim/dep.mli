@@ -28,6 +28,12 @@ val dependent : t -> t -> bool
 (** Whether two steps may fail to commute: some common location with a
     store on at least one side. *)
 
+val iter : (loc:int -> stores:bool -> unit) -> t -> unit
+(** [iter f fp] calls [f] once per location of [fp], in increasing
+    location order, telling whether the step stored to it.  [a] and [b]
+    are {!dependent} iff some location reached by both carries
+    [~stores:true] on at least one side. *)
+
 val dependent_access : Stm_core.Runtime.access -> Stm_core.Runtime.access -> bool
 (** Dependence of two single annotations; agrees with {!dependent} on
     singleton footprints. *)

@@ -160,24 +160,57 @@ let explore_dpor ~max_runs ~max_steps scenario =
           if src.(p) > dst.(p) then dst.(p) <- src.(p)
         done
       in
+      (* The steps already scanned, per location and process, newest
+         first: every step that touched the location, and the steps that
+         stored to it.  A step [i] of another process is dependent with [j]
+         iff it appears under one of [j]'s locations in the first list when
+         [j] stores there, or in the second when [j] only reads; so the
+         scan visits just those instead of the whole prefix.  A run in
+         which one process retries up to the cap against a descheduled
+         rival is thousands of steps long, and almost none of its steps
+         depend on each other. *)
+      let by_loc : (int, int list array * int list array) Hashtbl.t =
+        Hashtbl.create 64
+      in
       for j = 0 to n - 1 do
         let q = proc_of.(j) in
         let hb = Array.make nprocs 0 in
         if last_of.(q) >= 0 then Array.blit clocks.(last_of.(q)) 0 hb 0 nprocs;
-        (* Backward scan: [hb] accumulates the clocks of every dependent
-           predecessor already passed, so "hb.(p) <= i" at index [i] means
-           no happens-before path from i to j exists through later events —
-           an immediate race. *)
+        let dependent = ref [] in
+        Dep.iter
+          (fun ~loc ~stores ->
+            match Hashtbl.find_opt by_loc loc with
+            | None -> ()
+            | Some (touched, stored) ->
+              let seen = if stores then touched else stored in
+              for p = 0 to nprocs - 1 do
+                if p <> q then dependent := List.rev_append seen.(p) !dependent
+              done)
+          fp.(j);
+        (* Backward scan over the dependent predecessors: [hb] accumulates
+           the clocks of every one already passed, so "hb.(p) <= i" at
+           index [i] means no happens-before path from i to j exists
+           through later events — an immediate race. *)
         let races = ref [] in
-        for i = n - 1 downto 0 do
-          if i < j then begin
+        List.iter
+          (fun i ->
             let p = proc_of.(i) in
-            if p <> q && Dep.dependent fp.(i) fp.(j) then begin
-              if hb.(p) <= i then races := i :: !races;
-              merge hb clocks.(i)
-            end
-          end
-        done;
+            if hb.(p) <= i then races := i :: !races;
+            merge hb clocks.(i))
+          (List.sort_uniq (fun a b -> compare b a) !dependent);
+        Dep.iter
+          (fun ~loc ~stores ->
+            let touched, stored =
+              match Hashtbl.find_opt by_loc loc with
+              | Some s -> s
+              | None ->
+                let s = (Array.make nprocs [], Array.make nprocs []) in
+                Hashtbl.add by_loc loc s;
+                s
+            in
+            touched.(q) <- j :: touched.(q);
+            if stores then stored.(q) <- j :: stored.(q))
+          fp.(j);
         hb.(q) <- j + 1;
         clocks.(j) <- hb;
         last_of.(q) <- j;

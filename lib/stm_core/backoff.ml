@@ -1,38 +1,13 @@
 type t = {
   mutable window : int;
   mutable rng : int;  (* xorshift64 state *)
-  init : int;
-  cap : int;
 }
 
 let max_window = 1 lsl 14
 
-(* Process-wide factory defaults, adjustable from the benchmark CLIs
-   (--backoff-init / --backoff-max).  Instances snapshot them at creation,
-   so a mid-run change never mutates a live window. *)
-let default_init = ref 16
-let default_max = ref max_window
+let create ?(seed = 0) () =
+  { window = 16; rng = (seed lxor 0x1E3779B97F4A7C15) lor 1 }
 
-let set_defaults ?init ?max_window () =
-  (match init with
-  | Some i when i >= 1 -> default_init := i
-  | Some _ -> invalid_arg "Backoff.set_defaults: init must be >= 1"
-  | None -> ());
-  (match max_window with
-  | Some m when m >= !default_init -> default_max := m
-  | Some _ -> invalid_arg "Backoff.set_defaults: max_window < init"
-  | None -> ())
-
-let defaults () = (!default_init, !default_max)
-
-let create ?(seed = 0) ?init ?max_window () =
-  let init = Option.value init ~default:!default_init in
-  let cap = Option.value max_window ~default:!default_max in
-  if init < 1 then invalid_arg "Backoff.create: init must be >= 1";
-  if cap < init then invalid_arg "Backoff.create: max_window < init";
-  { window = init; rng = (seed lxor 0x1E3779B97F4A7C15) lor 1; init; cap }
-
-let reset t = t.window <- t.init
 let window t = t.window
 
 let next_rand t =
@@ -43,16 +18,12 @@ let next_rand t =
   t.rng <- x;
   x land max_int
 
-let grow t = if t.window < t.cap then t.window <- min t.cap (t.window * 2)
-
-let wait _t spins =
+let once t =
+  let spins = next_rand t mod t.window in
   if not !Runtime.simulated then
     for _ = 1 to spins do
       Domain.cpu_relax ()
     done;
   (* Let the deterministic scheduler reschedule instead of spinning. *)
-  Runtime.schedule_point ()
-
-let once t =
-  wait t (next_rand t mod t.window);
-  grow t
+  Runtime.schedule_point ();
+  if t.window < max_window then t.window <- t.window * 2

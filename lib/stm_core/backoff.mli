@@ -1,44 +1,25 @@
-(** Randomised exponential backoff used by the contention managers.
+(** Randomised exponential backoff: the retry loop's one contention
+    policy.
 
-    Each transaction attempt carries a backoff state; after an abort the
-    transaction waits for a random number of relaxation steps drawn from an
-    exponentially growing window before retrying.  Under the deterministic
-    scheduler the wait degenerates to scheduling points so that cooperative
-    processes cannot spin forever. *)
+    After an abort the transaction waits for a random number of relaxation
+    steps drawn from a window that starts at 16 and doubles on every wait,
+    up to {!max_window}.  Under the deterministic scheduler the wait
+    degenerates to a scheduling point so that cooperative processes cannot
+    spin forever.  Progress does not depend on the policy: the retry loop
+    escalates to the serial-irrevocable fallback at {!Runtime.retry_cap}. *)
 
 type t
 
-val create : ?seed:int -> ?init:int -> ?max_window:int -> unit -> t
-(** [init] and [max_window] default to the process-wide defaults
-    ({!set_defaults}), themselves 16 and {!max_window} until changed. *)
-
-val reset : t -> unit
-(** Restore the instance's initial window. *)
+val create : ?seed:int -> unit -> t
+(** A fresh state with a window of 16.  Rivals should pass different
+    seeds so that they draw different waits. *)
 
 val once : t -> unit
 (** Wait once and widen the window. *)
 
-val grow : t -> unit
-(** Widen the window without waiting — for contention managers that
-    compute their own wait from the window. *)
-
-val wait : t -> int -> unit
-(** Relax for the given number of steps (a scheduling point under the
-    deterministic scheduler) without touching the window. *)
-
 val window : t -> int
-(** Current window size, for tests and diagnostics.  Starts at the
-    instance's initial window, doubles on every {!once} and never exceeds
-    its cap. *)
+(** Current window size, for tests.  Starts at 16, doubles on every
+    {!once} and never exceeds {!max_window}. *)
 
 val max_window : int
-(** Factory-default upper bound on the window (2{^14} relaxation steps). *)
-
-val set_defaults : ?init:int -> ?max_window:int -> unit -> unit
-(** Change the process-wide default initial window and cap used by
-    {!create} when not given explicitly (the benchmark CLIs' --backoff-init
-    and --backoff-max).  Raises [Invalid_argument] on a non-positive [init]
-    or a cap below the current default [init]. *)
-
-val defaults : unit -> int * int
-(** Current (init, max_window) defaults. *)
+(** Upper bound on the window (2{^14} relaxation steps). *)

@@ -9,7 +9,7 @@
    nondeterministically, which is what a chaos stress wants anyway.
 
    Injection is confined to transaction attempts: a per-process flag set by
-   {!Retry_loop} around each attempt keeps faults out of contention-manager
+   {!Retry_loop} around each attempt keeps faults out of backoff
    waits (where an [Abort_tx] would escape the retry loop) and out of
    non-transactional code.  It is also suppressed while the serial
    fallback token is held, so an escalated transaction stays irrevocable

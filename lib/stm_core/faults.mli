@@ -102,7 +102,7 @@ val inject_short_write : unit -> bool
 val enter_attempt : unit -> unit
 (** Mark the current process as inside a transaction attempt; set by
     {!Retry_loop} around each attempt.  Without it no fault fires, keeping
-    contention-manager waits and non-transactional code unperturbed. *)
+    backoff waits and non-transactional code unperturbed. *)
 
 val leave_attempt : unit -> unit
 

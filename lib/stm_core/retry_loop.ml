@@ -1,26 +1,25 @@
 let starvation_msg = "transaction exceeded retry cap"
 
-let run ?cm ~stats f =
-  let cm =
-    match cm with
-    | Some cm -> cm
-    | None -> Cm.create ~seed:(Runtime.fresh_tx_id ()) ()
-  in
+let run ~stats f =
   (* Read the flag once per transaction: a mid-transaction toggle may miss
      this loop, but the flag is only flipped between benchmark phases. *)
   let detailed = Stats.detailed_enabled () in
+  (* The deadline counts from the first attempt.  Its budget and birth
+     stamp are read once, here, and the clock only when a budget is set. *)
+  let budget = !Runtime.tx_timeout_ns in
+  let birth = match budget with None -> 0L | Some _ -> Mclock.now_ns () in
   let deadline_expired () =
-    match !Runtime.tx_timeout_ns with
+    match budget with
     | None -> false
-    | Some budget -> Mclock.elapsed_ns (Cm.birth_ns cm) > budget
+    | Some budget -> Mclock.elapsed_ns birth > budget
   in
   let timeout () =
     Stats.record_timeout stats;
     raise (Control.Timeout "transaction deadline expired")
   in
   (* One full attempt of [f], bracketed by the fault injector's in-attempt
-     flag and fed into the stats.  Returns the commit result or the abort
-     reason; any other exception propagates to the caller. *)
+     flag and fed into the stats.  Returns the commit result, or [None] on
+     an abort; any other exception propagates to the caller. *)
   let call_attempt n =
     let t0 = if detailed then Mclock.now_ns () else 0L in
     let fi = !Runtime.fault_injection in
@@ -41,7 +40,7 @@ let run ?cm ~stats f =
         Stats.record_commit_latency stats (Mclock.elapsed_ns t0);
         Stats.record_retry_depth stats n
       end;
-      Ok result
+      Some result
     | exception Control.Abort_tx reason ->
       if fi then Faults.leave_attempt ();
       if san then Sanitizer.audit_attempt ~before:g0 ~aborted:true;
@@ -52,7 +51,7 @@ let run ?cm ~stats f =
       Clock.on_abort ();
       Stats.record_abort stats reason;
       if detailed then Stats.record_abort_latency stats (Mclock.elapsed_ns t0);
-      Error reason
+      None
     | exception e ->
       if fi then Faults.leave_attempt ();
       if san then Sanitizer.audit_attempt ~before:g0 ~aborted:false;
@@ -71,46 +70,39 @@ let run ?cm ~stats f =
     Fun.protect ~finally:Runtime.Serial.exit (fun () ->
       let rec go n =
         if deadline_expired () then timeout ();
-        match call_attempt n with Ok r -> r | Error _ -> go (n + 1)
+        match call_attempt n with Some r -> r | None -> go (n + 1)
       in
       go n)
   in
-  let rec attempt n =
-    Cm.pre_attempt cm ~attempt:n;
+  (* [backoff] is [None] until the first abort that waits: a transaction
+     that commits first time never creates contention state. *)
+  let rec attempt n backoff =
     if deadline_expired () then timeout ();
-    if n > !Runtime.retry_cap then begin
-      (* Only reachable with a negative cap: a cap exhausted by aborts is
-         handled below, before the wait. *)
+    (* Park while some other transaction runs serially: our commit would
+       be refused anyway, so don't burn an attempt on it. *)
+    if Runtime.Serial.active () && not (Runtime.Serial.mine ()) then
+      if not (Runtime.Serial.await_clear ~giveup:deadline_expired ()) then
+        timeout ();
+    match call_attempt n with
+    | Some r -> r
+    | None when n >= !Runtime.retry_cap ->
+      (* The cap is exhausted.  No backoff here: under [`Fallback] the
+         escalating attempt must run immediately (it is about to serialise
+         the world; delaying it only lengthens the stop), and under
+         [`Raise] the caller wants the exception. *)
       Stats.record_starvation stats;
-      match !Runtime.starvation_mode with
+      (match !Runtime.starvation_mode with
       | `Raise -> raise (Control.Starvation starvation_msg)
-      | `Fallback -> escalate n
-    end
-    else begin
-      (* Park while some other transaction runs serially: our commit would
-         be refused anyway, so don't burn an attempt on it. *)
-      if Runtime.Serial.active () && not (Runtime.Serial.mine ()) then
-        if not (Runtime.Serial.await_clear ~giveup:deadline_expired ()) then
-          timeout ();
-      match call_attempt n with
-      | Ok r -> r
-      | Error reason ->
-        if n + 1 > !Runtime.retry_cap then begin
-          (* The cap is exhausted.  No contention-manager wait here: under
-             [`Fallback] the escalating attempt must run immediately (it is
-             about to serialise the world; delaying it only lengthens the
-             stop), and under [`Raise] the caller wants the exception. *)
-          Stats.record_starvation stats;
-          match !Runtime.starvation_mode with
-          | `Raise -> raise (Control.Starvation starvation_msg)
-          | `Fallback -> escalate (n + 1)
-        end
-        else begin
-          Cm.on_abort cm ~attempt:n reason;
-          attempt (n + 1)
-        end
-    end
+      | `Fallback -> escalate (n + 1))
+    | None ->
+      (* A fresh transaction id seeds the state, so that rival domains
+         draw different waits. *)
+      let backoff =
+        match backoff with
+        | Some _ -> backoff
+        | None -> Some (Backoff.create ~seed:(Runtime.fresh_tx_id ()) ())
+      in
+      Option.iter Backoff.once backoff;
+      attempt (n + 1) backoff
   in
-  let result = attempt 0 in
-  Cm.on_commit cm;
-  result
+  attempt 0 None

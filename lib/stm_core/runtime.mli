@@ -143,8 +143,9 @@ val retry_cap : int ref
     What happens at the cap depends on {!starvation_mode}: under the
     default [`Fallback] the transaction escalates to the serial-irrevocable
     mode ({!Serial}) and is guaranteed to commit; under [`Raise] it raises
-    {!Control.Starvation}.  Default 64.  The deterministic scheduler
-    installs its own cap (and [`Raise]) to prune livelocking schedules. *)
+    {!Control.Starvation}.  Default 64; must be [>= 0] (0 escalates after
+    the first abort).  The deterministic scheduler installs its own cap
+    (and [`Raise]) to prune livelocking schedules. *)
 
 val starvation_mode : [ `Raise | `Fallback ] ref
 (** What the retry loop does when {!retry_cap} is exhausted.  [`Fallback]

@@ -51,21 +51,6 @@ let backoff_monotone_prop =
           done;
           !ok))
 
-let test_backoff_reset () =
-  simulated (fun () ->
-      let b = Backoff.create ~seed:42 () in
-      for _ = 1 to 20 do
-        Backoff.once b
-      done;
-      Alcotest.(check int) "saturated before reset" Backoff.max_window
-        (Backoff.window b);
-      Backoff.reset b;
-      Alcotest.(check int) "reset restores the initial window" 16
-        (Backoff.window b);
-      Backoff.once b;
-      Alcotest.(check int) "growth restarts from the bottom" 32
-        (Backoff.window b))
-
 (* Under the simulated flag, Backoff.once must not spin: it only yields a
    scheduling point.  We count them through the yield hook. *)
 let test_backoff_simulated_yields () =
@@ -215,22 +200,6 @@ let test_no_backoff_before_escalation () =
               Alcotest.(check int) "exactly cap waits, none when escalating"
                 2 yields)))
 
-(* A caller-supplied contention manager is reset by the commit that ends a
-   fallback episode, so the next transaction starts from a cold window. *)
-let test_backoff_reset_after_fallback () =
-  simulated (fun () ->
-      with_starvation_mode `Fallback (fun () ->
-          with_retry_cap 4 (fun () ->
-              let stats = Stats.create () in
-              let cm = Cm.create ~policy:Cm.Backoff () in
-              ignore
-                (Retry_loop.run ~cm ~stats (fun ~attempt:_ ->
-                     if Runtime.Serial.mine () then ()
-                     else Control.abort_tx Control.Validation_failed));
-              Alcotest.(check int) "window back at its initial value" 16
-                (Cm.window cm);
-              Alcotest.(check int) "priority cleared" 0 (Cm.priority cm))))
-
 (* With a deadline configured, a workload that cannot commit stops with
    Timeout instead of looping in the serial mode forever. *)
 let test_timeout_expires () =
@@ -250,6 +219,52 @@ let test_timeout_expires () =
                   let s = Stats.snapshot stats in
                   Alcotest.(check int) "timeout counted" 1 s.Stats.timeouts;
                   Alcotest.(check int) "nothing committed" 0 s.Stats.commits))))
+
+(* The deadline counts from the first attempt, not from the current one:
+   every attempt stays well inside the budget, yet the run as a whole
+   outlives it long before the cap is reached.  A birth stamp refreshed
+   per attempt would never expire and end in Starvation instead. *)
+let test_deadline_from_first_attempt () =
+  let budget_ns = 20_000_000 in
+  simulated (fun () ->
+      with_starvation_mode `Raise (fun () ->
+          with_retry_cap 10_000 (fun () ->
+              with_timeout_ns budget_ns (fun () ->
+                  let stats = Stats.create () in
+                  let calls = ref 0 in
+                  Alcotest.check_raises "Timeout, not Starvation"
+                    (Control.Timeout "transaction deadline expired")
+                    (fun () ->
+                      ignore
+                        (Retry_loop.run ~stats (fun ~attempt:_ ->
+                             incr calls;
+                             let t0 = Mclock.now_ns () in
+                             while Mclock.elapsed_ns t0 < budget_ns / 10 do
+                               Domain.cpu_relax ()
+                             done;
+                             Control.abort_tx Control.Validation_failed)));
+                  Alcotest.(check bool) "several attempts fit in the budget"
+                    true (!calls > 1);
+                  let s = Stats.snapshot stats in
+                  Alcotest.(check int) "timeout counted" 1 s.Stats.timeouts;
+                  Alcotest.(check int) "no starvation" 0 s.Stats.starvations))))
+
+(* A transaction that commits first time creates no backoff state, so it
+   draws no transaction id for a seed; the first abort draws exactly one. *)
+let test_lazy_backoff_state () =
+  simulated (fun () ->
+      let stats = Stats.create () in
+      let ids_drawn f =
+        let before = Runtime.fresh_tx_id () in
+        f ();
+        Runtime.fresh_tx_id () - before - 1
+      in
+      Alcotest.(check int) "first-try commit draws no id" 0
+        (ids_drawn (fun () -> Retry_loop.run ~stats (fun ~attempt:_ -> ())));
+      Alcotest.(check int) "three aborts draw one id" 1
+        (ids_drawn (fun () ->
+             Retry_loop.run ~stats (fun ~attempt ->
+                 if attempt < 3 then Control.abort_tx Control.Lock_contention))))
 
 (* ------------------------------------------------------------------ *)
 (* Mclock                                                              *)
@@ -293,7 +308,6 @@ let suite =
   [ Alcotest.test_case "backoff: doubling bounded by max" `Quick
       test_backoff_growth_bounded;
     QCheck_alcotest.to_alcotest backoff_monotone_prop;
-    Alcotest.test_case "backoff: reset" `Quick test_backoff_reset;
     Alcotest.test_case "backoff: simulated mode only yields" `Quick
       test_backoff_simulated_yields;
     Alcotest.test_case "retry: first attempt commits" `Quick
@@ -306,10 +320,12 @@ let suite =
       test_retry_cap_fallback_commits;
     Alcotest.test_case "retry: no backoff before escalation" `Quick
       test_no_backoff_before_escalation;
-    Alcotest.test_case "retry: cm reset after fallback commit" `Quick
-      test_backoff_reset_after_fallback;
     Alcotest.test_case "retry: deadline surfaces as Timeout" `Quick
       test_timeout_expires;
+    Alcotest.test_case "retry: deadline counts from the first attempt" `Quick
+      test_deadline_from_first_attempt;
+    Alcotest.test_case "retry: first-try commit creates no backoff state"
+      `Quick test_lazy_backoff_state;
     Alcotest.test_case "mclock: monotone" `Quick test_mclock_monotone;
     Alcotest.test_case "mclock: elapsed grows" `Quick test_mclock_elapsed;
     Alcotest.test_case "retry: user exceptions pass through" `Quick

@@ -54,6 +54,61 @@ let test_dep_footprints () =
   Alcotest.(check bool) "clock is an ordinary location" true
     (Dep.dependent (fp [ Write clock_pe ]) (fp [ Read clock_pe ]))
 
+(* [iter] lists each touched location once, in increasing order, with
+   whether some access stored to it; [dependent] is exactly "a shared
+   location stored to on either side" over those lists. *)
+let dep_iter_prop =
+  let access =
+    QCheck.Gen.(
+      map2
+        (fun kind loc ->
+          match kind with
+          | 0 -> Runtime.Pure
+          | 1 -> Runtime.Read loc
+          | 2 -> Runtime.Write loc
+          | _ -> Runtime.Lock loc)
+        (int_bound 3) (int_bound 4))
+  in
+  let entries accs =
+    let out = ref [] in
+    Dep.iter
+      (fun ~loc ~stores -> out := (loc, stores) :: !out)
+      (Dep.of_accesses accs);
+    List.rev !out
+  in
+  let faithful accs es =
+    let locs =
+      List.filter_map
+        (function
+          | Runtime.Pure -> None
+          | Runtime.Read l | Runtime.Write l | Runtime.Lock l -> Some l)
+        accs
+    in
+    let stored loc =
+      List.exists
+        (function
+          | Runtime.Write l | Runtime.Lock l -> l = loc
+          | Runtime.Pure | Runtime.Read _ -> false)
+        accs
+    in
+    List.map fst es = List.sort_uniq compare locs
+    && List.for_all (fun (loc, stores) -> stores = stored loc) es
+  in
+  QCheck.Test.make ~name:"Dep: iter agrees with dependent" ~count:500
+    QCheck.(
+      make
+        Gen.(pair (list_size (int_bound 5) access) (list_size (int_bound 5) access)))
+    (fun (a, b) ->
+      let ea = entries a and eb = entries b in
+      let shared_store =
+        List.exists
+          (fun (loc, s) ->
+            List.exists (fun (loc', s') -> loc = loc' && (s || s')) eb)
+          ea
+      in
+      faithful a ea && faithful b eb
+      && shared_store = Dep.dependent (Dep.of_accesses a) (Dep.of_accesses b))
+
 (* ------------------------------------------------------------------ *)
 (* Scenario builders                                                   *)
 
@@ -115,6 +170,20 @@ let counter (module S : Stm_intf.S) =
     check =
       (fun outcome -> (not (Sched.completed outcome)) || !value () = 4) }
 
+(* An OE-STM skip list preloaded with 1 and 3, [add_all [2; 4]] against
+   [contains 2].  In many of its schedules one process retries up to the
+   explorer's cap while the other is descheduled, so runs are thousands
+   of steps long: the race analysis's worst case. *)
+let skiplist_add_all_vs_contains =
+  let module Set = Eec.Skip_list_set.Make (Oestm.Oe) (Eec.Set_intf.Int_key) in
+  { Explore.procs =
+      (fun () ->
+        let s = Set.create () in
+        Set.unsafe_preload s [ 1; 3 ];
+        [ (fun () -> ignore (Set.add_all s [ 2; 4 ]));
+          (fun () -> ignore (Set.contains s 2)) ]);
+    check = (fun _ -> true) }
+
 let verdict_name = function
   | Explore.All_ok _ -> "All_ok"
   | Explore.Violation _ -> "Violation"
@@ -173,6 +242,45 @@ let test_fig1_strictly_pruned () =
       | r -> Alcotest.failf "%s: expected All_ok, got %s" name (verdict_name r))
     [ ("OE-STM", (module Oestm.Oe : Stm_intf.S));
       ("TL2", (module Classic_stm.Tl2 : Stm_intf.S)) ]
+
+(* ------------------------------------------------------------------ *)
+(* Pinned counts                                                       *)
+
+(* The race analysis visits, for each step, only the earlier steps that
+   share a location with it.  Which races it finds decides every
+   backtrack point, so the exact run and prune counts pin it: these are
+   the counts a scan of the whole prefix for every step gives.  The clock
+   policy decides which steps touch the clock, so it is fixed to GV1. *)
+let pinned ~name ~max_runs scenario (want_verdict, want_explored, want_pruned)
+    () =
+  let saved = Clock.current_policy () in
+  Clock.set_policy Runtime.GV1;
+  Fun.protect
+    ~finally:(fun () -> Clock.set_policy saved)
+    (fun () ->
+      let r = Explore.explore ~mode:`Dpor ~max_runs scenario in
+      let explored, pruned =
+        match r with
+        | Explore.All_ok { explored; pruned }
+        | Explore.Violation { explored; pruned; _ }
+        | Explore.Out_of_budget { explored; pruned } ->
+          (explored, pruned)
+      in
+      Alcotest.(check (triple string int int))
+        (name ^ ": verdict, runs, pruned")
+        (want_verdict, want_explored, want_pruned)
+        (verdict_name r, explored, pruned))
+
+let pinned_cases =
+  [ ("fig1/OE-STM", 20_000, fig1 (module Oestm.Oe), ("All_ok", 6, 16));
+    ("fig1/TL2", 20_000, fig1 (module Classic_stm.Tl2), ("All_ok", 6, 16));
+    ("counter/OE-STM", 20_000, counter (module Oestm.Oe), ("All_ok", 41, 140));
+    ( "3-cycle/OE-STM", 20_000, fig1_cycle3 (module Oestm.Oe),
+      ("All_ok", 44, 224) );
+    ( "3-cycle/E-STM(drop)", 20_000, fig1_cycle3 (module Oestm.E_broken),
+      ("Violation", 7, 9) );
+    ( "skip list add_all || contains/OE-STM", 3_000,
+      skiplist_add_all_vs_contains, ("All_ok", 1007, 31122) ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Outcome-set equivalence                                             *)
@@ -251,6 +359,7 @@ let test_three_proc_drop_violation () =
 let suite =
   [ Alcotest.test_case "Dep: single-access dependence" `Quick test_dep_access;
     Alcotest.test_case "Dep: footprint dependence" `Quick test_dep_footprints;
+    QCheck_alcotest.to_alcotest dep_iter_prop;
     Alcotest.test_case "fig1 is strictly pruned" `Quick
       test_fig1_strictly_pruned;
     Alcotest.test_case "DPOR and naive witness identical outcome sets" `Quick
@@ -264,3 +373,8 @@ let suite =
         Alcotest.test_case ("differential: " ^ name) `Quick
           (differential ~name ~max_runs scenario))
       diff_cases
+  @ List.map
+      (fun (name, max_runs, scenario, want) ->
+        Alcotest.test_case ("pinned: " ^ name) `Quick
+          (pinned ~name ~max_runs scenario want))
+      pinned_cases

@@ -254,35 +254,28 @@ let eval_engine args =
 
 let test_knobs_engine () =
   let module R = Harness.Report in
-  let cm = Stm_core.Cm.current_policy ()
-  and clock = Stm_core.Clock.current_policy ()
-  and retry_cap = !Stm_core.Runtime.retry_cap
-  and init, max_window = Stm_core.Backoff.defaults () in
+  let clock = Stm_core.Clock.current_policy ()
+  and retry_cap = !Stm_core.Runtime.retry_cap in
   let config () = R.to_string (R.config_to_json ()) in
   let before = config () in
   Fun.protect
     ~finally:(fun () ->
-      Stm_core.Cm.set_policy cm;
       Stm_core.Clock.set_policy clock;
-      Stm_core.Runtime.retry_cap := retry_cap;
-      Stm_core.Backoff.set_defaults ~init ~max_window ())
+      Stm_core.Runtime.retry_cap := retry_cap)
     (fun () ->
       List.iter
         (fun (args, want) ->
           Alcotest.(check string) (String.concat " " args) want
             (eval_engine args))
-        [ ([ "--cm"; "karma"; "--clock"; "gv9" ], "parse error");
-          ([ "--cm"; "karma"; "--faults"; "abort=2" ], "parse error");
-          ([ "--cm"; "karma"; "--faults"; "abort" ], "parse error");
-          ([ "--cm"; "karma"; "--retry-cap"; "x" ], "parse error");
-          ( [ "--cm"; "karma"; "--backoff-init"; "64"; "--backoff-max"; "8" ],
-            "term error" ) ];
+        [ ([ "--retry-cap"; "7"; "--clock"; "gv9" ], "parse error");
+          ([ "--retry-cap"; "7"; "--faults"; "abort=2" ], "parse error");
+          ([ "--retry-cap"; "7"; "--faults"; "abort" ], "parse error");
+          ([ "--clock"; "gv5"; "--retry-cap"; "x" ], "parse error");
+          ([ "--clock"; "gv5"; "--retry-cap=-1" ], "term error") ];
       Alcotest.(check string) "a refused line applies nothing" before
         (config ());
       Alcotest.(check string) "knobs applied" "ok"
-        (eval_engine
-           [ "--cm"; "karma"; "--clock"; "gv5"; "--retry-cap"; "7";
-             "--backoff-init"; "4"; "--backoff-max"; "256" ]);
+        (eval_engine [ "--clock"; "gv5"; "--retry-cap"; "7" ]);
       let got = R.config_to_json () in
       List.iter
         (fun (key, want) ->
@@ -290,9 +283,7 @@ let test_knobs_engine () =
             (Printf.sprintf "config.%s = %s" key (R.to_string want))
             true
             (R.member key got = Some want))
-        [ ("cm", R.Str "karma"); ("clock", R.Str "gv5");
-          ("retry_cap", R.Int 7); ("backoff_init", R.Int 4);
-          ("backoff_max", R.Int 256) ])
+        [ ("clock", R.Str "gv5"); ("retry_cap", R.Int 7) ])
 
 let suite =
   [ Alcotest.test_case "prng determinism" `Quick test_prng_deterministic;

@@ -44,7 +44,6 @@ let () =
        ("linearizability", Test_linearizability.suite);
        ("tx_queue_map", Test_tx_queue_map.suite);
        ("backoff_retry", Test_backoff_retry.suite);
-       ("cm", Test_cm.suite);
        ("faults", Test_faults.suite);
        ("recovery", Test_recovery.suite);
        ("persist", Test_persist.suite);

@@ -263,13 +263,10 @@ let golden_json =
   {|{
   "schema_version": 2,
   "config": {
-    "cm": "backoff",
     "clock": "gv1",
     "retry_cap": 64,
     "starvation_mode": "fallback",
     "tx_timeout_ns": null,
-    "backoff_init": 16,
-    "backoff_max": 16384,
     "faults": null
   },
   "sanitizer": null,
@@ -366,29 +363,23 @@ let test_json_golden () =
   (* The "config" object reflects process-wide runtime state; pin it to
      the shipped defaults for the duration of the check so the golden is
      independent of which suites ran first. *)
-  let saved_policy = Cm.current_policy () in
   let saved_clock = Clock.current_policy () in
   let saved_cap = !Runtime.retry_cap in
   let saved_mode = !Runtime.starvation_mode in
   let saved_timeout = !Runtime.tx_timeout_ns in
-  let saved_init, saved_max = Backoff.defaults () in
   let saved_faults = Faults.current () in
   let saved_san = Sanitizer.enabled () in
-  Cm.set_policy Cm.Backoff;
   Clock.set_policy Runtime.GV1;
   Runtime.retry_cap := 64;
   Runtime.starvation_mode := `Fallback;
   Runtime.tx_timeout_ns := None;
-  Backoff.set_defaults ~init:16 ~max_window:16384 ();
   Faults.disable ();
   Sanitizer.disable ();
   let restore () =
-    Cm.set_policy saved_policy;
     Clock.set_policy saved_clock;
     Runtime.retry_cap := saved_cap;
     Runtime.starvation_mode := saved_mode;
     Runtime.tx_timeout_ns := saved_timeout;
-    Backoff.set_defaults ~init:saved_init ~max_window:saved_max ();
     if saved_san then Sanitizer.enable ();
     match saved_faults with None -> () | Some c -> Faults.enable c
   in
