@@ -1,26 +1,28 @@
-(** Chaos testing: model checks under deterministic fault injection.
+(** Chaos testing: the four engines under injected faults, domain kills
+    and kill -9 with write-ahead-log recovery.
 
-    For each engine (OE-STM, TL2, View-STM, boosting) and each seed, random
-    schedules from the deterministic scheduler run a small transfer
-    workload while {!Stm_core.Faults} injects spurious aborts, lock-acquire
-    failures, validation failures and delays.  Three properties are
-    checked, per schedule:
+    Three lanes, each written once over a per-engine {!kit} that supplies
+    only what differs between OE-STM, TL2, View-STM and boosting:
 
-    - {b isolation}: every transaction that reads all cells sees the
-      conserved total — a torn read under faults is a safety violation;
-    - {b conservation}: after all processes finish, the cells still sum to
-      the preloaded total;
-    - {b no escaping exceptions}: under the default configuration no
-      process may end with {!Stm_core.Control.Starvation} (or anything
-      else) — the serial-irrevocable fallback must absorb livelocks.
-
-    A dedicated high-rate scenario drives every engine into the fallback
-    (retry cap 1, near-certain injected aborts), so a chaos run also proves
-    the escalation path commits.  Finally a multi-domain stress run checks
-    conservation under real parallelism with faults enabled.
+    - {b faults} ({!run_engine}): for each seed, random schedules from the
+      deterministic scheduler run a small transfer workload while
+      {!Stm_core.Faults} injects spurious aborts, lock-acquire failures,
+      validation failures and delays.  Every schedule must show no torn
+      read (every transaction that reads all cells sees the conserved
+      total), conservation once all processes finish, and no escaping
+      exception — under the default configuration no process may end with
+      {!Stm_core.Control.Starvation}: the serial-irrevocable fallback must
+      absorb livelocks.  A high-rate scenario (retry cap 1, near-certain
+      injected aborts) drives every engine into that fallback, and a
+      multi-domain stress run checks conservation under real parallelism;
+    - {b domain kills} ({!run_kill}): killer domains crash mid-commit
+      holding a lock; survivors must keep committing with recovery on and
+      must wedge with it off;
+    - {b crash-restart} ({!run_restart}): a forked child commits durable
+      transfers until SIGKILL, and the parent recovers its log.
 
     The module is shared by the [chaos] test suite and [bin/chaos.exe]
-    (which emits the JSON report CI archives). *)
+    (which emits the JSON reports CI archives). *)
 
 open Stm_core
 open Schedsim
@@ -42,12 +44,6 @@ type engine = OE | TL2 | View | Boost
 
 let all_engines = [ OE; TL2; View; Boost ]
 
-let engine_name = function
-  | OE -> "OE-STM"
-  | TL2 -> "TL2"
-  | View -> "View-STM"
-  | Boost -> "boosting"
-
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "oe" | "oe-stm" | "oestm" -> OE
@@ -66,6 +62,244 @@ let default_faults =
     delay = 0.02;
     max_delay_spins = 8 }
 
+(* Every cell of every scenario starts at [preload]. *)
+let preload = 100
+
+let spawn_join n f =
+  List.iter Domain.join (List.init n (fun i -> Domain.spawn (fun () -> f i)))
+
+(* ------------------------------------------------------------------ *)
+(* The per-engine kit                                                  *)
+
+(** The fresh state of one schedule-explored scenario: its processes and
+    the check on the state they leave once all of them completed. *)
+type setup = (unit -> unit) list * (unit -> bool)
+
+(** The fresh state of one kill scenario.  [killer k] runs killer [k]'s
+    transaction over its private band (the armed fault crashes it);
+    [survivor d] is survivor [d]'s step, applied to [0 .. txns-1]; the
+    final check sees whether the survivors wedged. *)
+type kill = {
+  killer : int -> unit;
+  survivor : int -> int -> unit;
+  conserved : wedged:bool -> bool;
+}
+
+(** What differs between engines; every lane is written once on top. *)
+type kit = {
+  name : string;
+  stats : Stats.t;
+  isolation : unit -> setup;  (** torn reads and conservation *)
+  fallback : unit -> setup;   (** one transaction, to run at retry cap 1 *)
+  stress : domains:int -> txns:int -> bool;  (** multi-domain; conserved? *)
+  killer_cap : int;           (** killers with a private band *)
+  crash_points : int;         (** the killer dies holding exactly one lock *)
+  kill : survivors:int -> kill;
+  transfer : (int Tvar.t -> int Tvar.t -> unit) option;
+      (** crash-restart's durable transfer; [None] without a tvar write set *)
+}
+
+module Tvar_kit (S : Stm_intf.S with type 'a tvar = 'a Tvar.t) = struct
+  let cells n = Array.init n (fun _ -> S.tvar preload)
+  let sum tvs = Array.fold_left (fun a tv -> a + S.peek tv) 0 tvs
+
+  let transfer a b =
+    S.atomic (fun ctx ->
+        let va = S.read ctx a in
+        let vb = S.read ctx b in
+        S.write ctx a (va - 1);
+        S.write ctx b (vb + 1))
+
+  (* Worker [d]'s [j]-th transfer over the 8 cells of the stress and kill
+     scenarios: never from a cell to itself. *)
+  let step tvs d j =
+    let a = (d + j) mod 8 in
+    transfer tvs.(a) tvs.((a + 1 + (j mod 7)) mod 8)
+
+  let kit =
+    { name = S.name;
+      stats = S.stats;
+      (* Two processes, two transfers each.  Each transfer reads every
+         cell (isolation check), then moves one unit between two of them. *)
+      isolation =
+        (fun () ->
+          let tvs = cells 4 in
+          let torn = ref false in
+          let proc i () =
+            for j = 0 to 1 do
+              let a = (i + j) mod 4 in
+              let b = (a + 1 + i) mod 4 in
+              let seen =
+                S.atomic (fun ctx ->
+                    let vals = Array.map (S.read ctx) tvs in
+                    S.write ctx tvs.(a) (vals.(a) - 1);
+                    S.write ctx tvs.(b) (vals.(b) + 1);
+                    Array.fold_left ( + ) 0 vals)
+              in
+              if seen <> 4 * preload then torn := true
+            done
+          in
+          ([ proc 0; proc 1 ], fun () -> (not !torn) && sum tvs = 4 * preload));
+      fallback =
+        (fun () ->
+          let tv = S.tvar 0 in
+          ( [ (fun () -> S.atomic (fun ctx -> S.write ctx tv (S.read ctx tv + 1)))
+            ],
+            fun () -> S.peek tv = 1 ));
+      stress =
+        (fun ~domains ~txns ->
+          let tvs = cells 8 in
+          spawn_join domains (fun d ->
+              for j = 1 to txns do step tvs d j done);
+          sum tvs = 8 * preload);
+      (* Each killer reads and rewrites the two cells of its private band.
+         The transaction costs read, write, read, write (four points), one
+         commit point, then one lock point per write-set entry — all three
+         tvar engines lock lazily at commit through [Wset.lock_all], so the
+         count is engine-independent.  Point 7 is the second lock point,
+         which fires {e before} the acquisition attempt: the domain dies
+         holding exactly one write lock (its band's lower cell),
+         pre-install, so cell values are untouched and conservation is
+         trivially preserved.  Bands are disjoint, so concurrent killers
+         cannot perturb each other's point arithmetic.  Survivors transfer
+         across all cells, so every one of them walks into the orphaned
+         locks within its first few transactions. *)
+      killer_cap = 4;
+      crash_points = 7;
+      kill =
+        (fun ~survivors:_ ->
+          let tvs = cells 8 in
+          { killer =
+              (fun k ->
+                let a = tvs.(2 * k) and b = tvs.((2 * k) + 1) in
+                S.atomic (fun ctx ->
+                    S.write ctx a (S.read ctx a);
+                    S.write ctx b (S.read ctx b)));
+            survivor = (fun d i -> step tvs d (i + 1));
+            conserved = (fun ~wedged:_ -> sum tvs = 8 * preload) });
+      transfer = Some transfer }
+end
+
+module Oe_kit = Tvar_kit (Oestm.Oe)
+module Tl2_kit = Tvar_kit (Classic_stm.Tl2)
+module View_kit = Tvar_kit (Viewstm.V)
+
+module Boost_set =
+  Boosting.Boost
+    (struct
+      module Base = Seqds.Hash (Seqds.Int_key)
+
+      type elt = int
+      type t = Base.t
+
+      let create () = Base.create ()
+      let contains = Base.contains
+      let add = Base.add
+      let remove = Base.remove
+    end)
+    (struct
+      let hash = Seqds.Int_key.hash
+    end)
+
+let boost_kit =
+  let module B = Boost_set in
+  let n_stripes = 8 in
+  (* First key at or above [start] on [stripe].  [Boost.lock_for] is
+     [K.hash k mod stripes]; replicating it aims keys at chosen stripes. *)
+  let key_on_stripe ~start stripe =
+    let k = ref start in
+    while Seqds.Int_key.hash !k mod n_stripes <> stripe do incr k done;
+    !k
+  in
+  { name = "boosting";
+    stats = Boosting.stats;
+    (* One process inserts pairs atomically; the other must never observe
+       half a pair.  Conservation: both pairs complete in the end. *)
+    isolation =
+      (fun () ->
+        let s = B.create ~stripes:4 () in
+        let half_pair = ref false in
+        ( [ (fun () ->
+              ignore (B.add_all s [ 0; 1 ]);
+              ignore (B.add_all s [ 2; 3 ]));
+            (fun () ->
+              for _ = 1 to 2 do
+                match
+                  Boosting.atomic (fun _ -> (B.contains s 0, B.contains s 1))
+                with
+                | true, false | false, true -> half_pair := true
+                | _ -> ()
+              done) ],
+          fun () ->
+            (not !half_pair) && List.for_all (B.contains s) [ 0; 1; 2; 3 ] ));
+    fallback =
+      (fun () ->
+        let s = B.create ~stripes:2 () in
+        ([ (fun () -> ignore (B.add s 7)) ], fun () -> B.contains s 7));
+    stress =
+      (fun ~domains ~txns ->
+        let s = B.create () in
+        (* Worker [d]'s [i]-th transaction inserts the pair at
+           [2 (d txns + i)], so together they fill [0, 2 domains txns). *)
+        spawn_join domains (fun d ->
+            for i = 0 to txns - 1 do
+              let base = 2 * ((d * txns) + i) in
+              ignore (B.add_all s [ base; base + 1 ])
+            done);
+        List.for_all (B.contains s) (List.init (2 * domains * txns) Fun.id));
+    (* Each killer inserts a two-key pair whose keys land on its private
+       pair of stripes; boosting fires one schedule point per {e fresh}
+       abstract-lock acquisition (the reentrant fast path has none), and
+       the point fires before the acquisition attempt, so point 2 crashes
+       the killer holding exactly its first stripe lock.  The first key is
+       already in the set — boosting applies operations eagerly and the
+       crashed transaction's undo log dies with it (the lost-undo
+       limitation DESIGN.md 5h documents) — so the conservation check
+       covers survivor keys only, from disjoint ranges.  Each survivor
+       aims successive inserts at successive stripes, so all of them hit
+       the orphaned stripes within their first [n_stripes] operations. *)
+    killer_cap = n_stripes / 2;
+    crash_points = 2;
+    kill =
+      (fun ~survivors ->
+        let s = B.create ~stripes:n_stripes () in
+        let committed = Array.make survivors [] in
+        { killer =
+            (fun k ->
+              ignore
+                (B.add_all s
+                   [ key_on_stripe ~start:0 (2 * k);
+                     key_on_stripe ~start:0 ((2 * k) + 1) ]));
+          survivor =
+            (fun d ->
+              let cursor = ref (10_000 * (d + 1)) in
+              fun i ->
+                let key = key_on_stripe ~start:!cursor (i mod n_stripes) in
+                cursor := key + 1;
+                ignore (B.add s key);
+                committed.(d) <- key :: committed.(d));
+          (* Reading back is itself transactional, so it only runs when
+             nothing wedged: against orphaned stripes it would wedge too. *)
+          conserved =
+            (fun ~wedged ->
+              wedged || Array.for_all (List.for_all (B.contains s)) committed)
+        });
+    (* Boosting has no tvar write set; its durable path (an explicit op
+       log) is exercised by the persist unit tests instead. *)
+    transfer = None }
+
+let kit_of = function
+  | OE -> Oe_kit.kit
+  | TL2 -> Tl2_kit.kit
+  | View -> View_kit.kit
+  | Boost -> boost_kit
+
+let engine_name e = (kit_of e).name
+let default_seeds = List.init 20 (fun i -> i + 1)
+
+(* ------------------------------------------------------------------ *)
+(* Faults lane                                                         *)
+
 type engine_result = {
   engine : string;
   seeds : int list;
@@ -83,8 +317,85 @@ type engine_result = {
 
 let ok r = r.failed_seeds = [] && r.stress_ok && r.san_violations = 0
 
+(* The outcome check of every explored scenario: nothing may escape,
+   Starvation included, and a run that completed must leave a correct
+   final state. *)
+let scenario (setup : unit -> setup) =
+  let final = ref (fun () -> true) in
+  { Explore.procs =
+      (fun () ->
+        let procs, check = setup () in
+        final := check;
+        procs);
+    check =
+      (fun outcome ->
+        match outcome.Sched.failures with
+        | _ :: _ -> false
+        | [] -> (not (Sched.completed outcome)) || !final ()) }
+
+(* One seed: the isolation scenario under the default rates, then the
+   fallback scenario at retry cap 1 and abort rate 0.9.  The caller
+   enabled faults and disables them afterwards. *)
+let sample_seed kit ~runs ~seed =
+  let r1 =
+    Explore.sample ~runs ~retry_cap:8 ~starvation_mode:`Fallback ~seed
+      (scenario kit.isolation)
+  in
+  Faults.enable { default_faults with Faults.spurious_abort = 0.9; seed };
+  let r2 =
+    Explore.sample ~runs:2 ~retry_cap:1 ~starvation_mode:`Fallback ~seed
+      (scenario kit.fallback)
+  in
+  (r1, r2)
+
+let run_engine ?(seeds = default_seeds) ?(runs_per_seed = 30)
+    ?(stress_domains = 4) ?(stress_txns = 200) engine =
+  if seeds = [] then invalid_arg "Chaos.run_engine: empty seed list";
+  let kit = kit_of engine in
+  Stats.reset kit.stats;
+  Faults.reset_counts ();
+  let san0 = Sanitizer.violation_count () in
+  let schedules = ref 0 in
+  let passed = function
+    | Explore.All_ok { explored; _ } | Explore.Out_of_budget { explored; _ }
+      ->
+      schedules := !schedules + explored;
+      true
+    | Explore.Violation { explored; _ } ->
+      schedules := !schedules + explored;
+      false
+  in
+  let with_faults seed f =
+    Faults.enable { default_faults with Faults.seed };
+    Fun.protect ~finally:Faults.disable f
+  in
+  let failed_seeds =
+    List.filter
+      (fun seed ->
+        let r1, r2 =
+          with_faults seed (fun () -> sample_seed kit ~runs:runs_per_seed ~seed)
+        in
+        let ok1 = passed r1 in
+        let ok2 = passed r2 in
+        not (ok1 && ok2))
+      seeds
+  in
+  let stress_ok =
+    with_faults (List.hd seeds) (fun () ->
+        kit.stress ~domains:stress_domains ~txns:stress_txns)
+  in
+  { engine = kit.name;
+    seeds;
+    runs_per_seed;
+    schedules = !schedules;
+    failed_seeds;
+    stress_ok;
+    stats = Stats.snapshot kit.stats;
+    injected = Faults.counts ();
+    san_violations = Sanitizer.violation_count () - san0 }
+
 (* ------------------------------------------------------------------ *)
-(* Domain-kill scenario                                                *)
+(* Domain-kill lane                                                    *)
 
 (** Result of one {!run_kill}: killer domains crash mid-commit holding
     locks; survivor domains then run a contending workload.  With
@@ -95,7 +406,9 @@ type kill_result = {
   k_engine : string;
   k_recovery : bool;
   k_lease_ns : int;
-  k_killers : int;       (** domains crashed mid-commit *)
+  k_killers : int;
+      (** domains crashed mid-commit: the request, clamped to [1] and to
+          the engine's number of private bands (4) *)
   k_survivors : int;     (** domains run after the crashes *)
   k_txns : int;          (** transactions attempted per survivor *)
   k_commits : int;       (** survivor transactions that committed *)
@@ -117,469 +430,6 @@ let kill_ok r =
   && (if r.k_recovery then (not r.k_wedged) && r.k_commits > 0
       else r.k_wedged)
 
-(* ------------------------------------------------------------------ *)
-(* Scenarios for tvar-based engines                                    *)
-
-module Stm_chaos (S : Stm_intf.S) = struct
-  let cells = 4
-  let preload = 100
-  let total = cells * preload
-
-  (* Two processes, two transfers each.  Each transfer reads every cell
-     (isolation check), then moves one unit between two of them. *)
-  let scenario () =
-    let slot = ref (fun () -> true) in
-    { Explore.procs =
-        (fun () ->
-          let tvs = Array.init cells (fun _ -> S.tvar preload) in
-          let torn = ref false in
-          slot :=
-            (fun () ->
-              (not !torn)
-              && Array.fold_left (fun a tv -> a + S.peek tv) 0 tvs = total);
-          let proc i () =
-            for j = 0 to 1 do
-              let a = (i + j) mod cells in
-              let b = (a + 1 + i) mod cells in
-              let sum =
-                S.atomic (fun ctx ->
-                    let vals = Array.map (fun tv -> S.read ctx tv) tvs in
-                    let s = Array.fold_left ( + ) 0 vals in
-                    if a <> b then begin
-                      S.write ctx tvs.(a) (vals.(a) - 1);
-                      S.write ctx tvs.(b) (vals.(b) + 1)
-                    end;
-                    s)
-              in
-              if sum <> total then torn := true
-            done
-          in
-          [ proc 0; proc 1 ]);
-      check =
-        (fun outcome ->
-          match outcome.Sched.failures with
-          | _ :: _ -> false  (* nothing may escape, Starvation included *)
-          | [] -> if Sched.completed outcome then (!slot) () else true) }
-
-  (* One process, retry cap 1, near-certain injected aborts: the only way
-     to finish is through the serial fallback. *)
-  let fallback_scenario () =
-    let slot = ref (fun () -> true) in
-    { Explore.procs =
-        (fun () ->
-          let tv = S.tvar 0 in
-          slot := (fun () -> S.peek tv = 1);
-          [ (fun () ->
-              S.atomic (fun ctx -> S.write ctx tv (S.read ctx tv + 1))) ])
-      ;
-      check =
-        (fun outcome ->
-          match outcome.Sched.failures with
-          | _ :: _ -> false
-          | [] -> if Sched.completed outcome then (!slot) () else true) }
-
-  let sample_seed ~runs ~seed =
-    let sc = scenario () in
-    let r1 =
-      Explore.sample ~runs ~retry_cap:8 ~starvation_mode:`Fallback ~seed sc
-    in
-    let hot = { default_faults with Faults.spurious_abort = 0.9; seed } in
-    Faults.enable hot;
-    let r2 =
-      Fun.protect
-        ~finally:(fun () -> Faults.enable { default_faults with Faults.seed })
-        (fun () ->
-          Explore.sample ~runs:2 ~retry_cap:1 ~starvation_mode:`Fallback ~seed
-            (fallback_scenario ()))
-    in
-    (r1, r2)
-
-  (* Real-domain stress: [domains] workers, [txns] transfers each over a
-     shared array; the total is conserved iff every transfer was atomic. *)
-  let stress ~domains ~txns =
-    let n = 8 in
-    let tvs = Array.init n (fun _ -> S.tvar preload) in
-    let worker d () =
-      for j = 1 to txns do
-        let a = (d + j) mod n in
-        let b = (a + 1 + (j mod (n - 1))) mod n in
-        if a <> b then
-          S.atomic (fun ctx ->
-              let va = S.read ctx tvs.(a) in
-              let vb = S.read ctx tvs.(b) in
-              S.write ctx tvs.(a) (va - 1);
-              S.write ctx tvs.(b) (vb + 1))
-      done
-    in
-    let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
-    List.iter Domain.join ds;
-    Array.fold_left (fun a tv -> a + S.peek tv) 0 tvs = n * preload
-
-  (* Domain-kill: each killer reads and rewrites the two cells of its
-     private band, and an armed fault crashes it at the 7th schedule
-     point.  The killer transaction costs read, write, read, write (four
-     points), one commit point, then one lock point per write-set entry —
-     all three tvar engines lock lazily at commit through
-     [Wset.lock_all], so the count is engine-independent.  Point 7 is the
-     second lock point, which fires {e before} the acquisition attempt:
-     the domain dies holding exactly one write lock (its band's lower
-     cell), pre-install, so cell values are untouched and conservation is
-     trivially preserved.  Bands are disjoint, so concurrent killers
-     cannot perturb each other's point arithmetic. *)
-  let kill_stress ~killers ~survivors ~txns ~recovery ~lease_ns =
-    let n = 8 in
-    let killers = max 1 (min killers (n / 2)) in
-    let tvs = Array.init n (fun _ -> S.tvar preload) in
-    let saved_timeout = !Runtime.tx_timeout_ns in
-    if recovery then Recovery.enable ~lease_ns ();
-    (* The timeout is the wedge detector: a survivor blocked on an
-       orphaned lock with no recovery must surface as [Control.Timeout]
-       rather than hang the test. *)
-    Runtime.tx_timeout_ns := Some 300_000_000;
-    Fun.protect
-      ~finally:(fun () ->
-        Runtime.tx_timeout_ns := saved_timeout;
-        if recovery then Recovery.disable ();
-        Faults.disable ())
-      (fun () ->
-        let killer k () =
-          Faults.arm_crash_after ~points:7;
-          try
-            S.atomic (fun ctx ->
-                let a = 2 * k and b = (2 * k) + 1 in
-                S.write ctx tvs.(a) (S.read ctx tvs.(a));
-                S.write ctx tvs.(b) (S.read ctx tvs.(b)))
-          with Control.Crashed -> ()
-        in
-        let kds = List.init killers (fun k -> Domain.spawn (killer k)) in
-        List.iter Domain.join kds;
-        (* Survivors transfer across all cells, so every one of them walks
-           into the orphaned locks within its first few transactions. *)
-        let commits = Atomic.make 0 in
-        let wedged = Atomic.make false in
-        let survivor d () =
-          try
-            for j = 1 to txns do
-              if not (Atomic.get wedged) then begin
-                let a = (d + j) mod n in
-                let b = (a + 1 + (j mod (n - 1))) mod n in
-                if a <> b then begin
-                  S.atomic (fun ctx ->
-                      let va = S.read ctx tvs.(a) in
-                      let vb = S.read ctx tvs.(b) in
-                      S.write ctx tvs.(a) (va - 1);
-                      S.write ctx tvs.(b) (vb + 1));
-                  Atomic.incr commits
-                end
-              end
-            done
-          with Control.Timeout _ -> Atomic.set wedged true
-        in
-        let ds = List.init survivors (fun d -> Domain.spawn (survivor d)) in
-        List.iter Domain.join ds;
-        let conserved =
-          Array.fold_left (fun a tv -> a + S.peek tv) 0 tvs = n * preload
-        in
-        (Atomic.get commits, conserved, Atomic.get wedged))
-
-  let run ~seeds ~runs_per_seed ~stress_domains ~stress_txns =
-    Stats.reset S.stats;
-    Faults.reset_counts ();
-    let san0 = Sanitizer.violation_count () in
-    let failed = ref [] in
-    let schedules = ref 0 in
-    List.iter
-      (fun seed ->
-        Faults.enable { default_faults with Faults.seed };
-        let r1, r2 =
-          Fun.protect ~finally:Faults.disable (fun () ->
-              sample_seed ~runs:runs_per_seed ~seed)
-        in
-        let count = function
-          | Explore.All_ok { explored; _ } ->
-            schedules := !schedules + explored;
-            true
-          | Explore.Out_of_budget { explored; _ } ->
-            schedules := !schedules + explored;
-            true
-          | Explore.Violation { explored; _ } ->
-            schedules := !schedules + explored;
-            false
-        in
-        let ok1 = count r1 in
-        let ok2 = count r2 in
-        if not (ok1 && ok2) then failed := seed :: !failed)
-      seeds;
-    let stress_ok =
-      Faults.enable { default_faults with Faults.seed = List.nth seeds 0 };
-      Fun.protect ~finally:Faults.disable (fun () ->
-          stress ~domains:stress_domains ~txns:stress_txns)
-    in
-    { engine = S.name;
-      seeds;
-      runs_per_seed;
-      schedules = !schedules;
-      failed_seeds = List.rev !failed;
-      stress_ok;
-      stats = Stats.snapshot S.stats;
-      injected = Faults.counts ();
-      san_violations = Sanitizer.violation_count () - san0 }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Boosting scenario                                                   *)
-
-module Boost_chaos = struct
-  module Base = Seqds.Hash (Seqds.Int_key)
-
-  module BSet =
-    Boosting.Boost
-      (struct
-        type elt = int
-        type t = Base.t
-
-        let create () = Base.create ()
-        let contains = Base.contains
-        let add = Base.add
-        let remove = Base.remove
-      end)
-      (struct
-        let hash = Seqds.Int_key.hash
-      end)
-
-  (* One process inserts pairs atomically; the other must never observe
-     half a pair.  Conservation: both pairs complete in the end. *)
-  let scenario () =
-    let slot = ref (fun () -> true) in
-    { Explore.procs =
-        (fun () ->
-          let s = BSet.create ~stripes:4 () in
-          let half_pair = ref false in
-          slot :=
-            (fun () ->
-              (not !half_pair)
-              && BSet.contains s 0 && BSet.contains s 1 && BSet.contains s 2
-              && BSet.contains s 3);
-          [ (fun () ->
-              ignore (BSet.add_all s [ 0; 1 ]);
-              ignore (BSet.add_all s [ 2; 3 ]));
-            (fun () ->
-              for _ = 1 to 2 do
-                let seen =
-                  Boosting.atomic (fun _ ->
-                      (Bool.to_int (BSet.contains s 0), Bool.to_int (BSet.contains s 1)))
-                in
-                match seen with
-                | 1, 0 | 0, 1 -> half_pair := true
-                | _ -> ()
-              done) ]);
-      check =
-        (fun outcome ->
-          match outcome.Sched.failures with
-          | _ :: _ -> false
-          | [] -> if Sched.completed outcome then (!slot) () else true) }
-
-  let fallback_scenario () =
-    let slot = ref (fun () -> true) in
-    { Explore.procs =
-        (fun () ->
-          let s = BSet.create ~stripes:2 () in
-          slot := (fun () -> BSet.contains s 7);
-          [ (fun () -> ignore (BSet.add s 7)) ]);
-      check =
-        (fun outcome ->
-          match outcome.Sched.failures with
-          | _ :: _ -> false
-          | [] -> if Sched.completed outcome then (!slot) () else true) }
-
-  let sample_seed ~runs ~seed =
-    let r1 =
-      Explore.sample ~runs ~retry_cap:8 ~starvation_mode:`Fallback ~seed
-        (scenario ())
-    in
-    let hot = { default_faults with Faults.spurious_abort = 0.9; seed } in
-    Faults.enable hot;
-    let r2 =
-      Fun.protect
-        ~finally:(fun () -> Faults.enable { default_faults with Faults.seed })
-        (fun () ->
-          Explore.sample ~runs:2 ~retry_cap:1 ~starvation_mode:`Fallback ~seed
-            (fallback_scenario ()))
-    in
-    (r1, r2)
-
-  let stress ~domains ~txns =
-    let s = BSet.create () in
-    let worker d () =
-      for i = 0 to txns - 1 do
-        let base = 2 * ((d * txns) + i) in
-        ignore (BSet.add_all s [ base; base + 1 ])
-      done
-    in
-    let ds = List.init domains (fun d -> Domain.spawn (worker d)) in
-    List.iter Domain.join ds;
-    let ok = ref true in
-    for d = 0 to domains - 1 do
-      for i = 0 to txns - 1 do
-        let base = 2 * ((d * txns) + i) in
-        if not (BSet.contains s base && BSet.contains s (base + 1)) then
-          ok := false
-      done
-    done;
-    !ok
-
-  let n_stripes = 8
-
-  (* Stripe placement must be deterministic, and [Boost.lock_for] is
-     [K.hash k mod stripes]: replicate it to aim keys at chosen stripes. *)
-  let stripe_of key = Seqds.Int_key.hash key mod n_stripes
-
-  (* First key at or above [start] that lands on [stripe]. *)
-  let key_on_stripe ~start stripe =
-    let k = ref start in
-    while stripe_of !k <> stripe do incr k done;
-    !k
-
-  (* Domain-kill for boosting.  Each killer inserts a two-key pair whose
-     keys land on its private pair of stripes; boosting fires one schedule
-     point per {e fresh} abstract-lock acquisition (the reentrant fast
-     path has none), and the point fires before the acquisition attempt,
-     so [points = 2] crashes the killer holding exactly its first stripe
-     lock.  The first key is already in the set — boosting applies
-     operations eagerly and the crashed transaction's undo log dies with
-     it (the lost-undo limitation DESIGN.md 5h documents) — so the
-     conservation check covers survivor keys only, from a disjoint
-     range. *)
-  let kill_stress ~killers ~survivors ~txns ~recovery ~lease_ns =
-    let killers = max 1 (min killers (n_stripes / 2)) in
-    let s = BSet.create ~stripes:n_stripes () in
-    let saved_timeout = !Runtime.tx_timeout_ns in
-    if recovery then Recovery.enable ~lease_ns ();
-    Runtime.tx_timeout_ns := Some 300_000_000;
-    Fun.protect
-      ~finally:(fun () ->
-        Runtime.tx_timeout_ns := saved_timeout;
-        if recovery then Recovery.disable ();
-        Faults.disable ())
-      (fun () ->
-        let killer k () =
-          let ka = key_on_stripe ~start:0 (2 * k) in
-          let kb = key_on_stripe ~start:0 ((2 * k) + 1) in
-          Faults.arm_crash_after ~points:2;
-          try ignore (BSet.add_all s [ ka; kb ])
-          with Control.Crashed -> ()
-        in
-        let kds = List.init killers (fun k -> Domain.spawn (killer k)) in
-        List.iter Domain.join kds;
-        (* Each survivor aims successive inserts at successive stripes
-           from a private key range, so all of them hit the orphaned
-           stripes within their first [n_stripes] operations. *)
-        let commits = Atomic.make 0 in
-        let wedged = Atomic.make false in
-        let done_counts = Array.make survivors 0 in
-        let survivor d () =
-          let cursor = ref (10_000 * (d + 1)) in
-          try
-            for i = 0 to txns - 1 do
-              if not (Atomic.get wedged) then begin
-                let key = key_on_stripe ~start:!cursor (i mod n_stripes) in
-                cursor := key + 1;
-                ignore (BSet.add s key);
-                done_counts.(d) <- done_counts.(d) + 1;
-                Atomic.incr commits
-              end
-            done
-          with Control.Timeout _ -> Atomic.set wedged true
-        in
-        let ds = List.init survivors (fun d -> Domain.spawn (survivor d)) in
-        List.iter Domain.join ds;
-        (* Read back every key the survivors reported committed.  Reading
-           is itself transactional, so it only runs when nothing wedged —
-           against orphaned stripes it would just wedge again. *)
-        let conserved =
-          Atomic.get wedged
-          ||
-          let ok = ref true in
-          for d = 0 to survivors - 1 do
-            let cursor = ref (10_000 * (d + 1)) in
-            for i = 0 to done_counts.(d) - 1 do
-              let key = key_on_stripe ~start:!cursor (i mod n_stripes) in
-              cursor := key + 1;
-              if not (BSet.contains s key) then ok := false
-            done
-          done;
-          !ok
-        in
-        (Atomic.get commits, conserved, Atomic.get wedged))
-
-  let run ~seeds ~runs_per_seed ~stress_domains ~stress_txns =
-    Stats.reset Boosting.stats;
-    Faults.reset_counts ();
-    let san0 = Sanitizer.violation_count () in
-    let failed = ref [] in
-    let schedules = ref 0 in
-    List.iter
-      (fun seed ->
-        Faults.enable { default_faults with Faults.seed };
-        let r1, r2 =
-          Fun.protect ~finally:Faults.disable (fun () ->
-              sample_seed ~runs:runs_per_seed ~seed)
-        in
-        let count = function
-          | Explore.All_ok { explored; _ } | Explore.Out_of_budget { explored; _ }
-            ->
-            schedules := !schedules + explored;
-            true
-          | Explore.Violation { explored; _ } ->
-            schedules := !schedules + explored;
-            false
-        in
-        let ok1 = count r1 in
-        let ok2 = count r2 in
-        if not (ok1 && ok2) then failed := seed :: !failed)
-      seeds;
-    let stress_ok =
-      Faults.enable { default_faults with Faults.seed = List.nth seeds 0 };
-      Fun.protect ~finally:Faults.disable (fun () ->
-          stress ~domains:stress_domains ~txns:stress_txns)
-    in
-    { engine = "boosting";
-      seeds;
-      runs_per_seed;
-      schedules = !schedules;
-      failed_seeds = List.rev !failed;
-      stress_ok;
-      stats = Stats.snapshot Boosting.stats;
-      injected = Faults.counts ();
-      san_violations = Sanitizer.violation_count () - san0 }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
-
-module Oe_chaos = Stm_chaos (Oestm.Oe)
-module Tl2_chaos = Stm_chaos (Classic_stm.Tl2)
-module View_chaos = Stm_chaos (Viewstm.V)
-
-let default_seeds = List.init 20 (fun i -> i + 1)
-
-let run_engine ?(seeds = default_seeds) ?(runs_per_seed = 30)
-    ?(stress_domains = 4) ?(stress_txns = 200) engine =
-  if seeds = [] then invalid_arg "Chaos.run_engine: empty seed list";
-  let run =
-    match engine with
-    | OE -> Oe_chaos.run
-    | TL2 -> Tl2_chaos.run
-    | View -> View_chaos.run
-    | Boost -> Boost_chaos.run
-  in
-  run ~seeds ~runs_per_seed ~stress_domains ~stress_txns
-
-let run_all ?seeds ?runs_per_seed ?stress_domains ?stress_txns () =
-  List.map
-    (fun e -> run_engine ?seeds ?runs_per_seed ?stress_domains ?stress_txns e)
-    all_engines
-
 (** The chaos scenarios' heartbeat lease (10 ms): well under the 300 ms
     wedge timeout, so that with recovery on the survivors reclaim orphaned
     locks long before they would time out. *)
@@ -589,21 +439,45 @@ let default_lease_ns = 10_000_000
    instances), so [run_kill] resets and snapshots them around one run. *)
 let run_kill ?(killers = 2) ?(survivors = 3) ?(txns = 64)
     ?(lease_ns = default_lease_ns) ~recovery engine =
+  let kit = kit_of engine in
   Faults.reset_counts ();
   Stats.reset_recovery_counters ();
   let san0 = Sanitizer.violation_count () in
-  let kill =
-    match engine with
-    | OE -> Oe_chaos.kill_stress
-    | TL2 -> Tl2_chaos.kill_stress
-    | View -> View_chaos.kill_stress
-    | Boost -> Boost_chaos.kill_stress
-  in
+  let killers = max 1 (min killers kit.killer_cap) in
+  let sc = kit.kill ~survivors in
+  let saved_timeout = !Runtime.tx_timeout_ns in
+  if recovery then Recovery.enable ~lease_ns ();
+  (* The timeout is the wedge detector: a survivor blocked on an orphaned
+     lock with no recovery must surface as [Control.Timeout] rather than
+     hang the run. *)
+  Runtime.tx_timeout_ns := Some 300_000_000;
   let commits, conserved, wedged =
-    kill ~killers ~survivors ~txns ~recovery ~lease_ns
+    Fun.protect
+      ~finally:(fun () ->
+        Runtime.tx_timeout_ns := saved_timeout;
+        if recovery then Recovery.disable ();
+        Faults.disable ())
+      (fun () ->
+        spawn_join killers (fun k ->
+            Faults.arm_crash_after ~points:kit.crash_points;
+            try sc.killer k with Control.Crashed -> ());
+        let commits = Atomic.make 0 in
+        let wedged = Atomic.make false in
+        spawn_join survivors (fun d ->
+            let step = sc.survivor d in
+            try
+              for i = 0 to txns - 1 do
+                if not (Atomic.get wedged) then begin
+                  step i;
+                  Atomic.incr commits
+                end
+              done
+            with Control.Timeout _ -> Atomic.set wedged true);
+        let wedged = Atomic.get wedged in
+        (Atomic.get commits, sc.conserved ~wedged, wedged))
   in
   let rc = Stats.recovery_counters () in
-  { k_engine = engine_name engine;
+  { k_engine = kit.name;
     k_recovery = recovery;
     k_lease_ns = lease_ns;
     k_killers = killers;
@@ -618,17 +492,8 @@ let run_kill ?(killers = 2) ?(survivors = 3) ?(txns = 64)
     k_poisoned_commits = rc.Stats.poisoned_commits;
     k_san_violations = Sanitizer.violation_count () - san0 }
 
-(** One engine, both directions: recovery on must make progress, recovery
-    off must wedge. *)
-let run_kill_both ?killers ?survivors ?txns ?lease_ns engine =
-  let on = run_kill ?killers ?survivors ?txns ?lease_ns ~recovery:true engine in
-  let off =
-    run_kill ?killers ?survivors ?txns ?lease_ns ~recovery:false engine
-  in
-  (on, off)
-
 (* ------------------------------------------------------------------ *)
-(* Crash-restart scenario (kill -9 + WAL recovery)                     *)
+(* Crash-restart lane (kill -9 + WAL recovery)                         *)
 
 (** Result of one {!run_restart}: for each seed a forked child worker
     runs durable transfers against a fresh write-ahead log and is
@@ -663,147 +528,106 @@ let restart_ok r =
   && (if r.rr_sync_every > 0 then r.rr_lost_acked_seeds = []
       else r.rr_lost_commit_seeds <> [])
 
-module Restart = struct
-  let cells = 4
-  let preload = 100
-  let total = cells * preload
+let restart_ptvars () =
+  Array.init 4 (fun i ->
+      Persist.Ptvar.make ~id:i ~codec:Persist.Codec.int preload)
 
-  let fresh_ptvars () =
-    Array.init cells (fun i ->
-        Persist.Ptvar.make ~id:i ~codec:Persist.Codec.int preload)
-
-  (* Drain the child's progress pipe until [deadline], then to EOF after
-     the kill; the last complete 16-byte frame is the child's final
-     report.  A frame torn by the kill is simply ignored. *)
-  let last_frame buf =
-    let s = Buffer.contents buf in
-    let frames = String.length s / 16 in
-    if frames = 0 then (0, 0)
-    else
-      let off = (frames - 1) * 16 in
-      ( Int64.to_int (String.get_int64_le s off),
-        Int64.to_int (String.get_int64_le s (off + 8)) )
-
-  let drain_until rd buf deadline =
-    let chunk = Bytes.create 4096 in
-    let rec go () =
-      let left = deadline -. Unix.gettimeofday () in
-      if left > 0.0 then
-        match Unix.select [ rd ] [] [] left with
-        | [], _, _ -> ()
-        | _ -> (
-          match Unix.read rd chunk 0 (Bytes.length chunk) with
-          | 0 -> ()  (* EOF: the child died early; the kill is a no-op *)
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
+(* Append what the pipe delivers to [buf] until EOF or, given a
+   [deadline], until the deadline passes. *)
+let drain ?deadline rd buf =
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let ready =
+      match deadline with
+      | None -> true
+      | Some d ->
+        let left = d -. Unix.gettimeofday () in
+        left > 0.0
+        && (match Unix.select [ rd ] [] [] left with
+           | [], _, _ -> false
+           | _ -> true)
     in
-    go ()
-
-  let drain_eof rd buf =
-    let chunk = Bytes.create 4096 in
-    let rec go () =
+    if ready then
       match Unix.read rd chunk 0 (Bytes.length chunk) with
       | 0 -> ()
       | n ->
         Buffer.add_subbytes buf chunk 0 n;
         go ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* The child: durable transfers forever, reporting (commits, acked) as a
+   16-byte frame after every commit, until SIGKILL lands.  Runs in a
+   forked process, so it must end in [Unix._exit] on every path. *)
+let restart_child transfer ~sync_every ~path ~seed wr =
+  (try
+     Persist.reset_for_testing ();
+     let ptvs = restart_ptvars () in
+     Persist.enable ~sync_every ~path ();
+     let rng = Prng.create ~seed in
+     let frame = Bytes.create 16 in
+     let commits = ref 0 in
+     while true do
+       let a = Prng.int rng 4 in
+       let b = (a + 1 + Prng.int rng 3) mod 4 in
+       transfer (Persist.Ptvar.tvar ptvs.(a)) (Persist.Ptvar.tvar ptvs.(b));
+       incr commits;
+       Bytes.set_int64_le frame 0 (Int64.of_int !commits);
+       Bytes.set_int64_le frame 8 (Int64.of_int (Persist.acked_records ()));
+       ignore (Unix.write wr frame 0 16)
+     done
+   with _ -> ());
+  Unix._exit 0
+
+type seed_outcome = {
+  so_commits : int;
+  so_acked : int;
+  so_recovered : int;
+  so_conserved : bool;
+  so_torn : bool;
+  so_child_ok : bool;  (** the child was killed, not crashed *)
+}
+
+(* One seed: fork, let the child commit for a seed-derived 10..60 ms,
+   SIGKILL it, recover the log in this process, judge the result.  The
+   last complete frame is the child's final report; a frame torn by the
+   kill is ignored, and a child that died early makes the kill a no-op. *)
+let restart_seed transfer ~sync_every ~path ~seed =
+  (try Sys.remove path with Sys_error _ -> ());
+  let rd, wr = Unix.pipe () in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    restart_child transfer ~sync_every ~path ~seed wr
+  | pid ->
+    Unix.close wr;
+    let kill_after_ms = 10 + (Prng.next (Prng.create ~seed) mod 51) in
+    let buf = Buffer.create 4096 in
+    drain rd buf
+      ~deadline:(Unix.gettimeofday () +. (float_of_int kill_after_ms /. 1000.0));
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    let _, status = Unix.waitpid [] pid in
+    drain rd buf;
+    Unix.close rd;
+    let s = Buffer.contents buf in
+    let last = ((String.length s / 16) - 1) * 16 in
+    let field i =
+      if last < 0 then 0 else Int64.to_int (String.get_int64_le s (last + i))
     in
-    go ()
-
-  type seed_outcome = {
-    so_commits : int;
-    so_acked : int;
-    so_recovered : int;
-    so_conserved : bool;
-    so_torn : bool;
-    so_child_ok : bool;  (** the child was killed, not crashed *)
-  }
-
-  module Run (S : Stm_intf.S with type 'a tvar = 'a Tvar.t) = struct
-    (* The child: durable transfers forever, reporting (commits, acked)
-       over the pipe after every commit, until SIGKILL lands.  Runs in a
-       forked process, so it must end in [Unix._exit] on every path. *)
-    let child ~sync_every ~path ~seed wr =
-      (try
-         Persist.reset_for_testing ();
-         let ptvs = fresh_ptvars () in
-         Persist.enable ~sync_every ~path ();
-         let rng = Prng.create ~seed in
-         let frame = Bytes.create 16 in
-         let commits = ref 0 in
-         while true do
-           let a = Prng.int rng cells in
-           let b = (a + 1 + Prng.int rng (cells - 1)) mod cells in
-           S.atomic (fun ctx ->
-               let tva = Persist.Ptvar.tvar ptvs.(a) in
-               let tvb = Persist.Ptvar.tvar ptvs.(b) in
-               S.write ctx tva (S.read ctx tva - 1);
-               S.write ctx tvb (S.read ctx tvb + 1));
-           incr commits;
-           Bytes.set_int64_le frame 0 (Int64.of_int !commits);
-           Bytes.set_int64_le frame 8
-             (Int64.of_int (Persist.acked_records ()));
-           ignore (Unix.write wr frame 0 16)
-         done
-       with _ -> ());
-      Unix._exit 0
-
-    (* One seed: fork, let the child commit for a seed-derived 10..60 ms,
-       SIGKILL it, recover the log in this process, judge the result. *)
-    let run_seed ~sync_every ~path ~seed =
-      (try Sys.remove path with Sys_error _ -> ());
-      let rd, wr = Unix.pipe () in
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 ->
-        Unix.close rd;
-        child ~sync_every ~path ~seed wr
-      | pid ->
-        Unix.close wr;
-        let kill_after_ms = 10 + (Prng.next (Prng.create ~seed) mod 51) in
-        let buf = Buffer.create 4096 in
-        drain_until rd buf
-          (Unix.gettimeofday () +. (float_of_int kill_after_ms /. 1000.0));
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        let _, status = Unix.waitpid [] pid in
-        drain_eof rd buf;
-        Unix.close rd;
-        let commits, acked = last_frame buf in
-        Persist.reset_for_testing ();
-        let ptvs = fresh_ptvars () in
-        let s = Persist.recover ~path () in
-        let sum =
-          Array.fold_left (fun a p -> a + Persist.Ptvar.value p) 0 ptvs
-        in
-        Persist.reset_for_testing ();
-        { so_commits = commits;
-          so_acked = acked;
-          so_recovered = s.Persist.updates_intact;
-          so_conserved = sum = total;
-          so_torn = s.Persist.truncated;
-          so_child_ok =
-            (match status with
-            | Unix.WSIGNALED sg -> sg = Sys.sigkill
-            | _ -> false) }
-  end
-
-  module Oe_run = Run (Oestm.Oe)
-  module Tl2_run = Run (Classic_stm.Tl2)
-  module View_run = Run (Viewstm.V)
-
-  (* Boosting has no tvar write set; its durable path (an explicit op
-     log) is exercised by the persist unit tests instead. *)
-  let run_seed_for = function
-    | OE -> Oe_run.run_seed
-    | TL2 -> Tl2_run.run_seed
-    | View -> View_run.run_seed
-    | Boost ->
-      invalid_arg "Chaos.run_restart: boosting has no tvar write set"
-end
+    Persist.reset_for_testing ();
+    let ptvs = restart_ptvars () in
+    let r = Persist.recover ~path () in
+    let sum = Array.fold_left (fun a p -> a + Persist.Ptvar.value p) 0 ptvs in
+    Persist.reset_for_testing ();
+    { so_commits = field 0;
+      so_acked = field 8;
+      so_recovered = r.Persist.updates_intact;
+      so_conserved = sum = 4 * preload;
+      so_torn = r.Persist.truncated;
+      so_child_ok = status = Unix.WSIGNALED Sys.sigkill }
 
 let run_restart ?(seeds = default_seeds) ?(sync_every = 1)
     ?(wal_path = Filename.concat (Filename.get_temp_dir_name ())
@@ -811,29 +635,33 @@ let run_restart ?(seeds = default_seeds) ?(sync_every = 1)
     engine =
   if Sys.win32 then invalid_arg "Chaos.run_restart: requires fork(2)";
   if seeds = [] then invalid_arg "Chaos.run_restart: empty seed list";
-  let run_seed = Restart.run_seed_for engine in
+  let kit = kit_of engine in
+  let transfer =
+    match kit.transfer with
+    | Some t -> t
+    | None -> invalid_arg ("Chaos.run_restart: no tvar write set in " ^ kit.name)
+  in
   let failed = ref [] and lost_acked = ref [] and lost_commits = ref [] in
   let commits = ref 0 and acked = ref 0 and recovered = ref 0 in
   let torn = ref 0 in
   List.iter
     (fun seed ->
-      let o = run_seed ~sync_every ~path:wal_path ~seed in
-      commits := !commits + o.Restart.so_commits;
-      acked := !acked + o.Restart.so_acked;
-      recovered := !recovered + o.Restart.so_recovered;
-      if o.Restart.so_torn then incr torn;
-      let lost_ack = o.Restart.so_recovered < o.Restart.so_acked in
+      let o = restart_seed transfer ~sync_every ~path:wal_path ~seed in
+      commits := !commits + o.so_commits;
+      acked := !acked + o.so_acked;
+      recovered := !recovered + o.so_recovered;
+      if o.so_torn then incr torn;
+      let lost_ack = o.so_recovered < o.so_acked in
       if lost_ack then lost_acked := seed :: !lost_acked;
-      if o.Restart.so_recovered < o.Restart.so_commits then
+      if o.so_recovered < o.so_commits then
         lost_commits := seed :: !lost_commits;
       if
-        (not o.Restart.so_conserved)
-        || (not o.Restart.so_child_ok)
+        (not o.so_conserved) || (not o.so_child_ok)
         || (sync_every > 0 && lost_ack)
       then failed := seed :: !failed)
     seeds;
   (try Sys.remove wal_path with Sys_error _ -> ());
-  { rr_engine = engine_name engine;
+  { rr_engine = kit.name;
     rr_sync_every = sync_every;
     rr_seeds = seeds;
     rr_failed_seeds = List.rev !failed;
@@ -845,90 +673,100 @@ let run_restart ?(seeds = default_seeds) ?(sync_every = 1)
     rr_lost_commit_seeds = List.rev !lost_commits }
 
 (* ------------------------------------------------------------------ *)
-(* JSON report                                                         *)
+(* JSON reports                                                        *)
 
-let engine_to_json (r : engine_result) =
-  Report.Obj
-    [ ("engine", Report.Str r.engine);
-      ("seeds", Report.List (List.map (fun s -> Report.Int s) r.seeds));
-      ("runs_per_seed", Report.Int r.runs_per_seed);
-      ("schedules", Report.Int r.schedules);
-      ("ok", Report.Bool (ok r));
-      ( "failed_seeds",
-        Report.List (List.map (fun s -> Report.Int s) r.failed_seeds) );
-      ("stress_ok", Report.Bool r.stress_ok);
-      ("commits", Report.Int r.stats.Stats.commits);
-      ("aborts", Report.Int r.stats.Stats.aborts);
-      ("starvations", Report.Int r.stats.Stats.starvations);
-      ("fallbacks", Report.Int r.stats.Stats.fallbacks);
-      ("timeouts", Report.Int r.stats.Stats.timeouts);
-      ("san_violations", Report.Int r.san_violations);
-      ( "injected",
-        Report.Obj
-          (List.map
-             (fun (k, n) -> (Faults.kind_name k, Report.Int n))
-             r.injected) ) ]
+(** One result as a report entry: its engine, its verdict and the other
+    fields in order.  [bin/chaos.exe] prints each summary line from the
+    same fields, so every field is named once. *)
+type entry = {
+  name : string;
+  verdict : bool;
+  fields : (string * Report.json) list;
+}
 
-let kill_to_json (r : kill_result) =
-  Report.Obj
-    [ ("engine", Report.Str r.k_engine);
-      ("recovery", Report.Bool r.k_recovery);
-      ("lease_ns", Report.Int r.k_lease_ns);
-      ("killers", Report.Int r.k_killers);
-      ("survivors", Report.Int r.k_survivors);
-      ("txns_per_survivor", Report.Int r.k_txns);
-      ("ok", Report.Bool (kill_ok r));
-      ("survivor_commits", Report.Int r.k_commits);
-      ("conserved", Report.Bool r.k_conserved);
-      ("wedged", Report.Bool r.k_wedged);
-      ("crashes", Report.Int r.k_crashes);
-      ("orphan_steals", Report.Int r.k_orphan_steals);
-      ("lease_expiries", Report.Int r.k_lease_expiries);
-      ("poisoned_commits", Report.Int r.k_poisoned_commits);
-      ("san_violations", Report.Int r.k_san_violations) ]
+let ints l = Report.List (List.map (fun s -> Report.Int s) l)
 
-let restart_to_json (r : restart_result) =
-  Report.Obj
-    [ ("engine", Report.Str r.rr_engine);
-      ("sync_every", Report.Int r.rr_sync_every);
-      ("seeds", Report.List (List.map (fun s -> Report.Int s) r.rr_seeds));
-      ("ok", Report.Bool (restart_ok r));
-      ( "failed_seeds",
-        Report.List (List.map (fun s -> Report.Int s) r.rr_failed_seeds) );
-      ("commits", Report.Int r.rr_commits);
-      ("acked", Report.Int r.rr_acked);
-      ("recovered", Report.Int r.rr_recovered);
-      ("torn_seeds", Report.Int r.rr_torn_seeds);
-      ( "lost_acked_seeds",
-        Report.List (List.map (fun s -> Report.Int s) r.rr_lost_acked_seeds)
-      );
-      ( "lost_commit_seeds",
-        Report.List
-          (List.map (fun s -> Report.Int s) r.rr_lost_commit_seeds) ) ]
+let engine_entry (r : engine_result) =
+  { name = r.engine;
+    verdict = ok r;
+    fields =
+      [ ("seeds", ints r.seeds);
+        ("runs_per_seed", Report.Int r.runs_per_seed);
+        ("schedules", Report.Int r.schedules);
+        ("failed_seeds", ints r.failed_seeds);
+        ("stress_ok", Report.Bool r.stress_ok);
+        ("commits", Report.Int r.stats.Stats.commits);
+        ("aborts", Report.Int r.stats.Stats.aborts);
+        ("starvations", Report.Int r.stats.Stats.starvations);
+        ("fallbacks", Report.Int r.stats.Stats.fallbacks);
+        ("timeouts", Report.Int r.stats.Stats.timeouts);
+        ("san_violations", Report.Int r.san_violations);
+        ( "injected",
+          Report.Obj
+            (List.map
+               (fun (k, n) -> (Faults.kind_name k, Report.Int n))
+               r.injected) ) ] }
 
-let restart_report_json (results : restart_result list) =
+let kill_entry (r : kill_result) =
+  { name = r.k_engine;
+    verdict = kill_ok r;
+    fields =
+      [ ("recovery", Report.Bool r.k_recovery);
+        ("lease_ns", Report.Int r.k_lease_ns);
+        ("killers", Report.Int r.k_killers);
+        ("survivors", Report.Int r.k_survivors);
+        ("txns_per_survivor", Report.Int r.k_txns);
+        ("survivor_commits", Report.Int r.k_commits);
+        ("conserved", Report.Bool r.k_conserved);
+        ("wedged", Report.Bool r.k_wedged);
+        ("crashes", Report.Int r.k_crashes);
+        ("orphan_steals", Report.Int r.k_orphan_steals);
+        ("lease_expiries", Report.Int r.k_lease_expiries);
+        ("poisoned_commits", Report.Int r.k_poisoned_commits);
+        ("san_violations", Report.Int r.k_san_violations) ] }
+
+let restart_entry (r : restart_result) =
+  { name = r.rr_engine;
+    verdict = restart_ok r;
+    fields =
+      [ ("sync_every", Report.Int r.rr_sync_every);
+        ("seeds", ints r.rr_seeds);
+        ("failed_seeds", ints r.rr_failed_seeds);
+        ("commits", Report.Int r.rr_commits);
+        ("acked", Report.Int r.rr_acked);
+        ("recovered", Report.Int r.rr_recovered);
+        ("torn_seeds", Report.Int r.rr_torn_seeds);
+        ("lost_acked_seeds", ints r.rr_lost_acked_seeds);
+        ("lost_commit_seeds", ints r.rr_lost_commit_seeds) ] }
+
+(* Every chaos report: schema version, kind, the lane's header fields,
+   then its entries under [key]. *)
+let report ~kind header key entry results =
+  let json e =
+    Report.Obj (("engine", Report.Str e.name) :: ("ok", Report.Bool e.verdict)
+                :: e.fields)
+  in
   Report.Obj
-    [ ("schema_version", Report.Int Report.schema_version);
-      ("kind", Report.Str "chaos-restart");
+    ([ ("schema_version", Report.Int Report.schema_version);
+       ("kind", Report.Str kind) ]
+    @ header
+    @ [ (key, Report.List (List.map (fun r -> json (entry r)) results)) ])
+
+let report_json results =
+  report ~kind:"chaos"
+    [ ("faults", Report.Str (Faults.to_string default_faults));
       ("sanitizer", Report.sanitizer_to_json ());
-      ("recovery", Report.recovery_to_json ());
-      ("durability", Report.durability_to_json ());
-      ("restarts", Report.List (List.map restart_to_json results)) ]
+      ("recovery", Report.recovery_to_json ()) ]
+    "engines" engine_entry results
 
-let kill_report_json (results : kill_result list) =
-  Report.Obj
-    [ ("schema_version", Report.Int Report.schema_version);
-      ("kind", Report.Str "chaos-kill");
-      ("sanitizer", Report.sanitizer_to_json ());
-      ("recovery", Report.recovery_to_json ());
-      ("kills", Report.List (List.map kill_to_json results)) ]
+(* No "recovery" object: [run_kill] switches recovery off again before the
+   report is built, and each entry carries its own setting and counters. *)
+let kill_report_json results =
+  report ~kind:"chaos-kill"
+    [ ("sanitizer", Report.sanitizer_to_json ()) ]
+    "kills" kill_entry results
 
-let report_json (results : engine_result list) =
-  Report.Obj
-    [ ("schema_version", Report.Int Report.schema_version);
-      ("kind", Report.Str "chaos");
-      ( "faults",
-        Report.Str (Faults.to_string default_faults) );
-      ("sanitizer", Report.sanitizer_to_json ());
-      ("recovery", Report.recovery_to_json ());
-      ("engines", Report.List (List.map engine_to_json results)) ]
+(* No sanitizer, recovery or durability objects: the lane takes none of
+   those flags, and the WAL lives in the forked children. *)
+let restart_report_json results =
+  report ~kind:"chaos-restart" [] "restarts" restart_entry results

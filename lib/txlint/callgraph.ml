@@ -212,3 +212,24 @@ let body_reraises (body : Parsetree.expression) =
   in
   iter.expr iter body;
   !found
+
+(* The one handler classifier.  A case swallows when its pattern catches
+   every exception ([catch_all]) or names a raise-at-point fault
+   ([crash]), it has no guard, and its body does not syntactically
+   re-raise; in a [match] only [exception] cases are handlers.  Returns
+   [(catch_all, crash)], both false for a case that does not swallow. *)
+let case_swallows ~what (c : Parsetree.case) =
+  let pat =
+    match c.pc_lhs.ppat_desc with
+    | Ppat_exception p when what = `Match -> Some p
+    | _ when what = `Try -> Some c.pc_lhs
+    | _ -> None
+  in
+  match pat with
+  | Some p when c.pc_guard = None ->
+    let catch_all = pattern_is_catch_all p in
+    let crash = pattern_mentions_crash p in
+    if (catch_all || crash) && not (body_reraises c.pc_rhs) then
+      (catch_all, crash)
+    else (false, false)
+  | _ -> (false, false)

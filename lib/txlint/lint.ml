@@ -205,28 +205,12 @@ let check_sites ~file (body : Parsetree.expression) =
     findings := { file; line; col; kind; msg } :: !findings
   in
   let check_case ~what (c : Parsetree.case) =
-    let catch_all_pat =
-      match c.pc_lhs.ppat_desc with
-      | Ppat_exception p when what = `Match -> Callgraph.pattern_is_catch_all p
-      | _ -> what = `Try && Callgraph.pattern_is_catch_all c.pc_lhs
-    in
-    if
-      catch_all_pat && c.pc_guard = None
-      && not (Callgraph.body_reraises c.pc_rhs)
-    then
+    let catch_all, crash = Callgraph.case_swallows ~what c in
+    if catch_all then
       add c.pc_lhs.ppat_loc Catch_all
         "catch-all exception handler without re-raise swallows \
          Control.Abort_tx; match specific exceptions or re-raise";
-    let crash_pat =
-      match c.pc_lhs.ppat_desc with
-      | Ppat_exception p when what = `Match ->
-        Callgraph.pattern_mentions_crash p
-      | _ -> what = `Try && Callgraph.pattern_mentions_crash c.pc_lhs
-    in
-    if
-      crash_pat && c.pc_guard = None
-      && not (Callgraph.body_reraises c.pc_rhs)
-    then
+    if crash then
       add c.pc_lhs.ppat_loc Crash_swallowed
         "handler swallows a raise-at-point fault (Control.Crashed / \
          Faults.Injected_failure); crash simulation needs these to \

@@ -58,30 +58,15 @@ type t = {
 
 let get t (e : Index.entry) = t.effs.(e.id)
 
-(* Local handler scan: does this body contain a catch-all (or
-   crash-matching) case without guard or syntactic re-raise?  Same
-   predicate the per-site checks use; here it seeds the summary. *)
+(* Local handler scan: does this body contain a case that
+   [Callgraph.case_swallows]?  The per-site checks use the same
+   classifier; here it seeds the summary. *)
 let local_swallows (body : Parsetree.expression) =
   let swa = ref false and swc = ref false in
-  let check_case ~what (c : Parsetree.case) =
-    let catch_all_pat =
-      match c.pc_lhs.ppat_desc with
-      | Ppat_exception p when what = `Match -> Callgraph.pattern_is_catch_all p
-      | _ -> what = `Try && Callgraph.pattern_is_catch_all c.pc_lhs
-    in
-    let crash_pat =
-      match c.pc_lhs.ppat_desc with
-      | Ppat_exception p when what = `Match -> Callgraph.pattern_mentions_crash p
-      | _ -> what = `Try && Callgraph.pattern_mentions_crash c.pc_lhs
-    in
-    if
-      (catch_all_pat || crash_pat)
-      && c.pc_guard = None
-      && not (Callgraph.body_reraises c.pc_rhs)
-    then begin
-      if catch_all_pat then swa := true;
-      if crash_pat then swc := true
-    end
+  let check_case ~what c =
+    let catch_all, crash = Callgraph.case_swallows ~what c in
+    if catch_all then swa := true;
+    if crash then swc := true
   in
   let iter =
     {

@@ -78,34 +78,66 @@ let test_engine_names () =
     (Invalid_argument "Chaos.engine_of_string: unknown engine z80")
     (fun () -> ignore (Harness.Chaos.engine_of_string "z80"))
 
+(* Every report kind, one input each: the fault lane's from a short OE
+   run, the kill lane's from a small TL2 run, and the crash-restart lane's
+   from a fixed result (that lane forks, which the test runner does not;
+   a [bin/dune] rule runs it for real).  Each must round-trip as JSON with
+   exactly the listed top-level and per-entry keys. *)
 let test_report_shape () =
-  let r = Harness.Chaos.run_engine ~seeds:[ 1; 2 ] ~runs_per_seed:3
-      ~stress_domains:2 ~stress_txns:20 Harness.Chaos.OE
+  let module C = Harness.Chaos in
+  let module R = Harness.Report in
+  let faults =
+    C.run_engine ~seeds:[ 1; 2 ] ~runs_per_seed:3 ~stress_domains:2
+      ~stress_txns:20 C.OE
   in
-  let json = Harness.Chaos.report_json [ r ] in
-  let text = Harness.Report.to_string json in
-  match Harness.Report.of_string text with
-  | Error e -> Alcotest.failf "chaos report is not valid JSON: %s" e
-  | Ok parsed ->
-    let module R = Harness.Report in
-    Alcotest.(check bool) "schema version" true
-      (R.member "schema_version" parsed = Some (R.Int R.schema_version));
-    Alcotest.(check bool) "kind marks the report as chaos" true
-      (R.member "kind" parsed = Some (R.Str "chaos"));
-    Alcotest.(check bool) "sanitizer verdict present (null when off)" true
-      (match R.member "sanitizer" parsed with
-      | Some R.Null | Some (R.Obj _) -> true
-      | _ -> false);
-    (match R.member "engines" parsed with
-    | Some (R.List [ e ]) ->
-      List.iter
-        (fun key ->
-          if R.member key e = None then
-            Alcotest.failf "engine entry is missing %S" key)
-        [ "engine"; "seeds"; "runs_per_seed"; "schedules"; "ok";
-          "failed_seeds"; "stress_ok"; "commits"; "aborts"; "starvations";
-          "fallbacks"; "timeouts"; "san_violations"; "injected" ]
-    | _ -> Alcotest.fail "expected exactly one engine entry")
+  let kill =
+    C.run_kill ~killers:1 ~survivors:2 ~txns:16 ~lease_ns:5_000_000
+      ~recovery:true C.TL2
+  in
+  let restart =
+    { C.rr_engine = "TL2"; rr_sync_every = 1; rr_seeds = [ 1; 2 ];
+      rr_failed_seeds = []; rr_commits = 10; rr_acked = 10;
+      rr_recovered = 10; rr_torn_seeds = 0; rr_lost_acked_seeds = [];
+      rr_lost_commit_seeds = [] }
+  in
+  let check (kind, json, top, key, entry_keys) =
+    let keys = function
+      | R.Obj kv -> List.sort compare (List.map fst kv)
+      | _ -> Alcotest.failf "%s: not a JSON object" kind
+    in
+    match R.of_string (R.to_string json) with
+    | Error e -> Alcotest.failf "%s report is not valid JSON: %s" kind e
+    | Ok parsed ->
+      Alcotest.(check (list string)) (kind ^ ": top-level keys")
+        (List.sort compare
+           ([ "schema_version"; "kind"; key ] @ top))
+        (keys parsed);
+      Alcotest.(check bool) (kind ^ ": schema version") true
+        (R.member "schema_version" parsed = Some (R.Int R.schema_version));
+      Alcotest.(check bool) (kind ^ ": kind") true
+        (R.member "kind" parsed = Some (R.Str kind));
+      (match R.member key parsed with
+      | Some (R.List [ e ]) ->
+        Alcotest.(check (list string)) (kind ^ ": entry keys")
+          (List.sort compare ([ "engine"; "ok" ] @ entry_keys))
+          (keys e)
+      | _ -> Alcotest.failf "%s: expected exactly one %s entry" kind key)
+  in
+  List.iter check
+    [ ( "chaos", C.report_json [ faults ], [ "faults"; "sanitizer"; "recovery" ],
+        "engines",
+        [ "seeds"; "runs_per_seed"; "schedules"; "failed_seeds"; "stress_ok";
+          "commits"; "aborts"; "starvations"; "fallbacks"; "timeouts";
+          "san_violations"; "injected" ] );
+      ( "chaos-kill", C.kill_report_json [ kill ], [ "sanitizer" ], "kills",
+        [ "recovery"; "lease_ns"; "killers"; "survivors"; "txns_per_survivor";
+          "survivor_commits"; "conserved"; "wedged"; "crashes";
+          "orphan_steals"; "lease_expiries"; "poisoned_commits";
+          "san_violations" ] );
+      ( "chaos-restart", C.restart_report_json [ restart ], [], "restarts",
+        [ "sync_every"; "seeds"; "failed_seeds"; "commits"; "acked";
+          "recovered"; "torn_seeds"; "lost_acked_seeds"; "lost_commit_seeds" ]
+      ) ]
 
 let suite =
   [ Alcotest.test_case "engine names" `Quick test_engine_names;

@@ -398,6 +398,23 @@ let test_kill_without_recovery_wedges () =
     true
     (Harness.Chaos.kill_ok r)
 
+(* Killers are clamped to the engine's private bands (4 cell pairs, 4
+   stripe pairs); the result reports the killers that ran, not the
+   request. *)
+let test_kill_reports_effective_killers () =
+  List.iter
+    (fun engine ->
+      let r =
+        Harness.Chaos.run_kill ~killers:6 ~survivors:2 ~txns:16 ~recovery:true
+          engine
+      in
+      let name = r.Harness.Chaos.k_engine in
+      Alcotest.(check int) (name ^ ": killers that ran") 4
+        r.Harness.Chaos.k_killers;
+      Alcotest.(check int) (name ^ ": one crash per killer") 4
+        r.Harness.Chaos.k_crashes)
+    [ Harness.Chaos.TL2; Harness.Chaos.Boost ]
+
 let suite =
   [ Alcotest.test_case "registry lifecycle" `Quick test_registry_lifecycle;
     Alcotest.test_case "crashed slot reads dead" `Quick
@@ -425,4 +442,6 @@ let suite =
     Alcotest.test_case "domain-kill: recovery keeps survivors going" `Slow
       test_kill_with_recovery_progresses;
     Alcotest.test_case "domain-kill: no recovery wedges" `Slow
-      test_kill_without_recovery_wedges ]
+      test_kill_without_recovery_wedges;
+    Alcotest.test_case "domain-kill: reports the killers that ran" `Slow
+      test_kill_reports_effective_killers ]
