@@ -75,21 +75,36 @@ let run_kill engines json lease_ns sanitizer =
    conservation plus prefix durability.  The same scenario then runs as a
    negative control with fsync disabled (sync_every = 0), which must
    demonstrably lose committed records — proving the kill actually lands
-   before the data is safe, so the positive direction is meaningful. *)
+   before the data is safe, so the positive direction is meaningful.
+   Inputs under which the lane would check nothing are usage errors (exit
+   124) that run nothing: a positive direction that never syncs (it would
+   be a second negative control), and a selection with no tvar engine. *)
 let run_restart engines json seeds (wal : Harness.Knobs.wal) =
-  let seeds = List.init seeds (fun i -> i + 1) in
-  Printf.printf
-    "## Chaos crash-restart: %d seed(s)/engine (+ no-sync negative control)\n%!"
-    (List.length seeds);
-  lane
-    (List.filter (fun e -> e <> Chaos.Boost) engines)
-    json
-    (fun e ->
-      List.map
-        (fun sync_every ->
-          Chaos.run_restart ~seeds ?sync_every ?wal_path:wal.path e)
-        [ wal.sync_every; Some 0 ])
-    Chaos.restart_entry Chaos.restart_report_json
+  match (List.filter (fun e -> e <> Chaos.Boost) engines, wal.sync_every) with
+  | _, Some n when n < 1 ->
+    `Error
+      ( true,
+        "crash-restart: --wal-sync-every must be at least 1; the lane \
+         already runs the never-syncing negative control itself" )
+  | [], _ ->
+    `Error
+      ( true,
+        "crash-restart: no tvar engine selected; boosting is excluded \
+         because its undo log is lost on a crash (DESIGN.md 5h)" )
+  | engines, _ ->
+    let seeds = List.init seeds (fun i -> i + 1) in
+    Printf.printf
+      "## Chaos crash-restart: %d seed(s)/engine (+ no-sync negative \
+       control)\n%!"
+      (List.length seeds);
+    `Ok
+      (lane engines json
+         (fun e ->
+           List.map
+             (fun sync_every ->
+               Chaos.run_restart ~seeds ?sync_every ?wal_path:wal.path e)
+             [ wal.sync_every; Some 0 ])
+         Chaos.restart_entry Chaos.restart_report_json)
 
 let run_faults engines json seeds runs stress_domains stress_txns sanitizer
     recovery =
@@ -153,8 +168,9 @@ let crash_restart =
              range, recover in the parent and check conservation and \
              prefix durability; a no-sync negative control must \
              demonstrably lose committed records.  Boosting is skipped \
-             (no tvar write set).")
-    Term.(const run_restart $ engines $ json $ seeds $ Harness.Knobs.wal)
+             (no tvar write set); selecting only boosting, or \
+             --wal-sync-every below 1, is a usage error.")
+    Term.(ret (const run_restart $ engines $ json $ seeds $ Harness.Knobs.wal))
 
 let cmd =
   let runs =

@@ -182,7 +182,7 @@ end
 
 module Oe_kit = Tvar_kit (Oestm.Oe)
 module Tl2_kit = Tvar_kit (Classic_stm.Tl2)
-module View_kit = Tvar_kit (Viewstm.V)
+module View_kit = Tvar_kit (Oestm.View)
 
 module Boost_set =
   Boosting.Boost

@@ -7,11 +7,6 @@
     them and their acquire/release events — matching the paper's
     convention of removing all events involving aborted transactions. *)
 
-val attribute_attempts : Stm_core.Recorder.event list -> Stm_core.Recorder.event list
-(** The filtering pass: drop every event belonging to an aborted top-level
-    attempt.  Trailing releases after a top-level commit or abort are
-    attributed to the attempt that just finished. *)
-
 val to_history : Stm_core.Recorder.event list -> History.t
 
 val register_env : init_repr:(int -> int) -> Spec.env

@@ -20,12 +20,6 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Transactions and processes} *)
 
-val proc_of_event : Event.t -> int option
-(** The process an event directly names ([None] for operations, which are
-    attributed through their transaction). *)
-
-val tx_of_event : Event.t -> int option
-
 val transactions : t -> int list
 (** Transactions begun in the history, in begin order. *)
 
@@ -43,9 +37,6 @@ val proc_of_tx : t -> int -> int
     @raise Invalid_argument if the transaction never began. *)
 
 val procs : t -> int list
-
-val begin_pos : t -> int -> int option
-(** Index of the transaction's begin event. *)
 
 val commit_pos : t -> int -> int option
 

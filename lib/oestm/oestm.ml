@@ -58,7 +58,19 @@ module type S_EXT = sig
   val release : ctx -> 'a tvar -> unit
 end
 
-module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
+module type S = sig
+  include Stm_intf.S
+
+  val read_weak : ctx -> 'a tvar -> 'a
+end
+
+(* [Make] yields both relaxations; the interface gives each instance the
+   signature of the one it stands for. *)
+module Make (C : CONFIG) : sig
+  include S_EXT with type 'a tvar = 'a Tvar.t
+
+  val read_weak : ctx -> 'a tvar -> 'a
+end = struct
   let name = C.name
 
   type 'a tvar = 'a Tvar.t
@@ -198,6 +210,27 @@ module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Tvar.t = struct
             record_scan ctx;
             ok);
       Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
+      v
+
+  (* Weak read: consistent at the moment it happens, never revalidated.
+     Its protection element is acquired and released around the operation,
+     which is exactly how the paper's model renders a read that protects
+     nothing (an empty contribution to Pmin). *)
+  let read_weak : type a. ctx -> a tvar -> a =
+   fun ctx tv ->
+    Runtime.schedule_point_on (Runtime.Read (Tvar.id tv));
+    match Rwsets.Wset.find ctx.root.wset tv with
+    | Some v ->
+      (* Served from the write set, whose first write already holds the
+         element: record the read as [read] does, with no acquire. *)
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
+      v
+    | None ->
+      let _, v = Tvar.read_consistent tv in
+      let pe = Tvar.id tv in
+      Txrec.acquire ctx.root.rec_state ~pe;
+      Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;
+      Txrec.release ctx.root.rec_state ~pe;
       v
 
   let write : type a. ctx -> a tvar -> a -> unit =
@@ -395,3 +428,30 @@ module Oe_window1 = Make (struct
   let nesting = Outherit
   let window_size = 1
 end)
+
+(** View transactions (Afek, Morrison, Tzafrir — PODC'10), as discussed in
+    Section VIII of the paper:
+
+    "View transactions are a type of relaxed transactions that use
+    programmer-specified view pointers to define the critical view of a
+    transaction, which is basically equivalent to our notion of a minimal
+    protected set.  When committing, a view transaction must pass its
+    critical view to its parent transaction (if any), thus satisfying
+    outheritance and ensuring composition."
+
+    That is OE-STM's [Regular] mode with [Outherit]: {!read} is the
+    critical read (validated against [rv] when made, so the view is a
+    snapshot, and outherited by a committing child), {!read_weak} is the
+    momentarily-consistent read that never joins the view.  [atomic]
+    ignores [?mode] so e.e.c's elastic traversals stay critical.  A
+    read-only view transaction serialises at [rv] without revalidating at
+    commit, as TL2's read-only commit does (DESIGN.md 5k). *)
+module View = struct
+  include Make (struct
+    let name = "View-STM"
+    let nesting = Outherit
+    let window_size = 2
+  end)
+
+  let atomic ?mode:_ f = atomic f
+end

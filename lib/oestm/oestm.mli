@@ -11,7 +11,10 @@
     - Nested transactions either {e outherit} — pass their protected sets
       to the parent at commit, Fig. 4 of the paper — or {e drop} them,
       which reproduces the broken composition of Fig. 1 and is kept as an
-      executable counterexample. *)
+      executable counterexample.
+    - {!View} runs the same engine as Section VIII's view transactions:
+      regular reads form the critical view, {!S.read_weak} reads are
+      never revalidated. *)
 
 type nesting =
   | Outherit  (** child passes read set, window and writes to its parent *)
@@ -41,7 +44,16 @@ module type S_EXT = sig
       transaction.  Writes are unaffected. *)
 end
 
-module Make (C : CONFIG) : S_EXT with type 'a tvar = 'a Stm_core.Tvar.t
+(** The engine interface, extended with the view-transaction relaxation. *)
+module type S = sig
+  include Stm_core.Stm_intf.S
+
+  val read_weak : ctx -> 'a tvar -> 'a
+  (** A consistent read that never joins the critical view: later changes
+      to the location do not abort this transaction.  The caller asserts
+      the transaction's correctness does not depend on the value staying
+      current. *)
+end
 
 (** The paper's OE-STM: elastic transactions that compose. *)
 module Oe : S_EXT with type 'a tvar = 'a Stm_core.Tvar.t
@@ -53,3 +65,13 @@ module E_broken : S_EXT with type 'a tvar = 'a Stm_core.Tvar.t
 (** Ablation: a one-read window ("the immediate past read", read
     literally).  Unsafe for chain updates; see [test/test_ablation.ml]. *)
 module Oe_window1 : S_EXT with type 'a tvar = 'a Stm_core.Tvar.t
+
+(** View transactions (Afek, Morrison, Tzafrir — PODC'10; Section VIII of
+    the paper): the programmer names the {e critical view} — the reads the
+    transaction's correctness depends on — with {!S.read}; {!S.read_weak}
+    reads are momentarily consistent and never revalidated.  A child
+    passes its view to its parent at commit (outheritance), so
+    compositions are atomic with respect to their critical views.  Every
+    transaction runs [Regular], whatever [?mode] says; a read-only one
+    commits at its snapshot without revalidating. *)
+module View : S with type 'a tvar = 'a Stm_core.Tvar.t

@@ -79,8 +79,6 @@ val enable : ?sync_every:int -> ?sync_ns:int -> path:string -> unit -> unit
 val disable : unit -> unit
 (** Flush, close and uninstall.  No-op when not enabled. *)
 
-val is_enabled : unit -> bool
-
 val sync : unit -> unit
 (** Force flush + fsync now (raises [Invalid_argument] when disabled). *)
 

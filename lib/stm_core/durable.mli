@@ -23,9 +23,6 @@ val register_encoder : tvar_id:int -> pid:int -> (Obj.t -> string) -> unit
 val encoder_for : int -> (int * (Obj.t -> string)) option
 (** The persistent id and encoder registered for a tvar id, if any. *)
 
-val reset_encoders : unit -> unit
-(** Drop every registered encoder (test/recovery isolation). *)
-
 val stage : wv:int -> (int * string) list -> unit
 (** Stage the durable entries of the write set the current domain just
     installed at commit version [wv].  No-op on [[]] (a commit that

@@ -14,9 +14,6 @@
     ({!Vlock.create}) are left unpadded (a tvar with its lock is 12
     words, 96 bytes). *)
 
-val cache_line_words : int
-(** Padding granule in words (128 bytes on 64-bit). *)
-
 val copy_as_padded : 'a -> 'a
 (** [copy_as_padded v] returns a copy of [v] whose heap block is padded to a
     whole number of cache lines.  Only meaningful for freshly allocated

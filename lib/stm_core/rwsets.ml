@@ -61,8 +61,8 @@ module Rset = struct
      unvalidated suffix, exactly where incremental validation looks. *)
   let append_into ~src ~dst = Vec.append_into ~src:src.entries ~dst:dst.entries
 
-  (* Every validation entry point draws from the same injection hook, so
-     chaos runs exercise incremental and bounded validation failures too. *)
+  (* Both validation entry points draw from the same injection hook, so
+     chaos runs exercise incremental validation failures too. *)
   let injected_fail () =
     !Runtime.fault_injection && Faults.inject_validation_fail ()
 
@@ -82,19 +82,6 @@ module Rset = struct
   let validate_new t ~owner =
     if injected_fail () then false
     else validate_from t ~owner ~from:t.validated_upto
-
-  let validate_upto t ~owner ~limit =
-    if injected_fail () then false
-    else begin
-      t.last_scan <- Vec.length t.entries;
-      let ok =
-        Vec.for_all
-          (fun e -> Vlock.version_of e.r_seen <= limit && rentry_valid ~owner e)
-          t.entries
-      in
-      if ok then t.validated_upto <- Vec.length t.entries;
-      ok
-    end
 
   (* Early release: drop every observation of [pe].  Filtering preserves
      order, so the surviving prefix of the old validated prefix is still a
@@ -130,7 +117,6 @@ type wentry =
       -> wentry
 
 let wentry_pe (W e) = e.tv.Tvar.id
-let wentry_lock (W e) = e.tv.Tvar.lock
 
 let dummy_wentry = W { tv = Tvar.make 0; pending = 0; locked = false; w_saved = 0 }
 
@@ -407,12 +393,4 @@ module Wset = struct
         | Some (pid, enc) -> acc := (pid, enc (Obj.repr e.pending)) :: !acc)
       t.entries;
     !acc
-
-  let validate_no_foreign_lock t ~owner =
-    Vec.for_all
-      (fun (W e) ->
-        let lock = e.tv.Tvar.lock in
-        let s = Vlock.stamp lock in
-        (not (Vlock.locked s)) || Vlock.holder lock = owner)
-      t.entries
 end

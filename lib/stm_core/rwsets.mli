@@ -8,8 +8,6 @@ type rentry = {
   r_pe : int;     (** protection-element (tvar) id *)
 }
 
-val dummy_rentry : rentry
-
 val rentry_valid : owner:int -> rentry -> bool
 (** The entry's stamp is unchanged, or the location is currently
     write-locked by [owner] itself over the observed version. *)
@@ -45,10 +43,6 @@ module Rset : sig
       Only sound while [rv] is unchanged since the last successful
       validation; use {!validate} for interval extension and commit. *)
 
-  val validate_upto : t -> owner:int -> limit:int -> bool
-  (** Like {!validate} but additionally requires every observed version to
-      be at most [limit] (snapshot-extension validation).  Full scan. *)
-
   val validated_upto : t -> int
   (** Current watermark (number of entries covered by the last successful
       validation). *)
@@ -64,11 +58,6 @@ module Rset : sig
 end
 
 (** {1 Write entries} *)
-
-type wentry
-
-val wentry_pe : wentry -> int
-val wentry_lock : wentry -> Vlock.t
 
 (** A write set indexed for O(1) lookup by tvar id: a summary (bloom) word
     answers the common read-of-unwritten-location miss with one load and a
@@ -136,7 +125,4 @@ module Wset : sig
       set touches no persistent tvar.  Call right after
       {!install_and_unlock} (pending values are attempt-private and
       outlive the locks), guarded on [Runtime.durability]. *)
-
-  val validate_no_foreign_lock : t -> owner:int -> bool
-  (** No entry is locked by a transaction other than [owner]. *)
 end

@@ -161,7 +161,7 @@ end
 
 module Oe_exn = Make (Oestm.Oe)
 module Tl2_exn = Make (Classic_stm.Tl2)
-module View_exn = Make (Viewstm.V)
+module View_exn = Make (Oestm.View)
 
 (* Boosting is eager and lock-based, so the same guarantees read
    differently: an exception rolls back via the undo log and releases the

@@ -65,7 +65,7 @@ module type ENGINE = Stm_intf.S with type 'a tvar = 'a Tvar.t
 let engines : (string * (module ENGINE)) list =
   [ ("TL2", (module Classic_stm.Tl2));
     ("OE-STM", (module Oestm.Oe));
-    ("View-STM", (module Viewstm.V)) ]
+    ("View-STM", (module Oestm.View)) ]
 
 let transfer (module S : ENGINE) a b =
   S.atomic (fun ctx ->

@@ -81,8 +81,8 @@ let test_tl2 () =
   C.run ()
 
 let test_view () =
-  let module C = Check (Viewstm.V) in
-  C.run ~weak:Viewstm.V.read_weak ()
+  let module C = Check (Oestm.View) in
+  C.run ~weak:Oestm.View.read_weak ()
 
 let suite =
   [ Alcotest.test_case "OE-STM records value fingerprints" `Quick test_oe;

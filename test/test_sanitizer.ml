@@ -271,7 +271,7 @@ let suite =
     Alcotest.test_case "OE-STM multi-domain clean" `Quick
       (clean_engine (module Oestm.Oe));
     Alcotest.test_case "View-STM multi-domain clean" `Quick
-      (clean_engine (module Viewstm.V));
+      (clean_engine (module Oestm.View));
     Alcotest.test_case "boosting multi-domain clean" `Quick
       test_clean_boosting;
     Alcotest.test_case "OE-STM chaos clean" `Slow
