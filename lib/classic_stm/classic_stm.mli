@@ -7,28 +7,6 @@
     — and hence composition — by construction, at the price of detecting
     every conflict of the composition's whole footprint. *)
 
-module type POLICY = sig
-  val name : string
-
-  val eager_write_lock : bool
-  (** Acquire the write lock at the first [write] instead of at commit. *)
-
-  val extend_on_read : bool
-  (** Extend the validity interval (revalidating the read set) instead of
-      aborting when a too-new version is read. *)
-
-  val priority_spin : int
-  (** Bounded number of retries a priority transaction performs on a
-      write-lock conflict before aborting.  0 = timid. *)
-
-  val priority_threshold : int
-  (** Number of writes after which a transaction gains priority;
-      [max_int] = never. *)
-end
-
-module Make (P : POLICY) :
-  Stm_core.Stm_intf.S with type 'a tvar = 'a Stm_core.Tvar.t
-
 (** TL2 (Dice, Shalev, Shavit — DISC'06): commit-time locking, no interval
     extension, timid contention management. *)
 module Tl2 : Stm_core.Stm_intf.S with type 'a tvar = 'a Stm_core.Tvar.t

@@ -145,7 +145,7 @@ let pp_result ppf (r : figure_result) =
   in
   (match (tp "OE-STM", tp "LSA", tp "TL2", tp "SwissTM") with
   | Some oe, Some a, Some b, Some c ->
-    let best_classic = List.fold_left max a [ b; c ] |> fun m -> List.fold_left max m [] in
+    let best_classic = List.fold_left max a [ b; c ] in
     if best_classic > 0.0 then
       Format.fprintf ppf
         "OE-STM speedup over best classic STM at %d threads: %.2fx@."

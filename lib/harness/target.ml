@@ -33,132 +33,106 @@ end
 
 let buckets_for cfg load_factor = max 1 ((1 lsl cfg.Workload.size_exp) / load_factor)
 
-(* Wire one transactional structure into the TARGET interface. *)
-module Stm_target
-    (S : Stm_intf.S) (C : sig
+(* The operations a target drives on its structure, with [int] keys. *)
+module type OPS = sig
+  type t
+
+  val unsafe_preload : t -> int list -> unit
+  val contains : t -> int -> bool
+  val add : t -> int -> bool
+  val remove : t -> int -> bool
+  val add_all : t -> int list -> bool
+  val remove_all : t -> int list -> bool
+end
+
+(* One series' three structure implementations and its stats. *)
+module type IMPL = sig
+  val name : string
+
+  module Ll : sig
+    include OPS
+
+    val create : unit -> t
+  end
+
+  module Sk : sig
+    include OPS
+
+    val create : unit -> t
+  end
+
+  module Hs : sig
+    include OPS
+
+    val create_with_buckets : int -> t
+  end
+
+  val abort_snapshot : unit -> Stats.snapshot
+  val reset_stats : unit -> unit
+end
+
+(* Wire one series' structure into the TARGET interface. *)
+module Make
+    (X : IMPL) (C : sig
       val structure : structure
     end) : TARGET =
 struct
-  module Ll = Eec.Linked_list_set.Make (S) (Eec.Set_intf.Int_key)
-  module Sk = Eec.Skip_list_set.Make (S) (Eec.Set_intf.Int_key)
-  module Hs = Eec.Hash_set.Make (S) (Eec.Set_intf.Int_key)
+  let name = X.name
 
-  let name = S.name
+  (* Preload [t] and return the op dispatcher over it. *)
+  let bind (type s) (module M : OPS with type t = s) (t : s) keys =
+    M.unsafe_preload t keys;
+    function
+    | Workload.Contains v -> ignore (M.contains t v)
+    | Workload.Add v -> ignore (M.add t v)
+    | Workload.Remove v -> ignore (M.remove t v)
+    | Workload.Add_all (a, b) -> ignore (M.add_all t [ a; b ])
+    | Workload.Remove_all (a, b) -> ignore (M.remove_all t [ a; b ])
 
-  type instance =
-    | I_ll of Ll.t
-    | I_sk of Sk.t
-    | I_hs of Hs.t
-
-  let cell : instance option ref = ref None
+  let cell : (Workload.op -> unit) option ref = ref None
 
   let setup cfg =
     let keys = Workload.initial_keys cfg in
-    let inst =
-      match C.structure with
-      | Linked_list ->
-        let t = Ll.create () in
-        Ll.unsafe_preload t keys;
-        I_ll t
-      | Skip_list ->
-        let t = Sk.create () in
-        Sk.unsafe_preload t keys;
-        I_sk t
-      | Hash_set { load_factor } ->
-        let t = Hs.create_with_buckets (buckets_for cfg load_factor) in
-        Hs.unsafe_preload t keys;
-        I_hs t
-    in
-    cell := Some inst
-
-  let instance () =
-    match !cell with
-    | Some i -> i
-    | None -> invalid_arg "Target.run_op before setup"
+    cell :=
+      Some
+        (match C.structure with
+        | Linked_list -> bind (module X.Ll) (X.Ll.create ()) keys
+        | Skip_list -> bind (module X.Sk) (X.Sk.create ()) keys
+        | Hash_set { load_factor } ->
+          bind (module X.Hs)
+            (X.Hs.create_with_buckets (buckets_for cfg load_factor))
+            keys)
 
   let run_op op =
-    match (instance (), op) with
-    | I_ll t, Workload.Contains v -> ignore (Ll.contains t v)
-    | I_ll t, Workload.Add v -> ignore (Ll.add t v)
-    | I_ll t, Workload.Remove v -> ignore (Ll.remove t v)
-    | I_ll t, Workload.Add_all (a, b) -> ignore (Ll.add_all t [ a; b ])
-    | I_ll t, Workload.Remove_all (a, b) -> ignore (Ll.remove_all t [ a; b ])
-    | I_sk t, Workload.Contains v -> ignore (Sk.contains t v)
-    | I_sk t, Workload.Add v -> ignore (Sk.add t v)
-    | I_sk t, Workload.Remove v -> ignore (Sk.remove t v)
-    | I_sk t, Workload.Add_all (a, b) -> ignore (Sk.add_all t [ a; b ])
-    | I_sk t, Workload.Remove_all (a, b) -> ignore (Sk.remove_all t [ a; b ])
-    | I_hs t, Workload.Contains v -> ignore (Hs.contains t v)
-    | I_hs t, Workload.Add v -> ignore (Hs.add t v)
-    | I_hs t, Workload.Remove v -> ignore (Hs.remove t v)
-    | I_hs t, Workload.Add_all (a, b) -> ignore (Hs.add_all t [ a; b ])
-    | I_hs t, Workload.Remove_all (a, b) -> ignore (Hs.remove_all t [ a; b ])
+    match !cell with
+    | Some run -> run op
+    | None -> invalid_arg "Target.run_op before setup"
+
+  let abort_snapshot = X.abort_snapshot
+  let reset_stats = X.reset_stats
+end
+
+(* A transactional series: the e.e.c structures over one STM. *)
+module Stm_impl (S : Stm_intf.S) : IMPL = struct
+  let name = S.name
+
+  module Ll = Eec.Linked_list_set.Make (S) (Eec.Set_intf.Int_key)
+  module Sk = Eec.Skip_list_set.Make (S) (Eec.Set_intf.Int_key)
+  module Hs = Eec.Hash_set.Make (S) (Eec.Set_intf.Int_key)
 
   let abort_snapshot () = Stats.snapshot S.stats
   let reset_stats () = Stats.reset S.stats
 end
 
 (* The bare sequential baseline. *)
-module Seq_target (C : sig
-  val structure : structure
-end) : TARGET = struct
+module Seq_impl : IMPL = struct
+  let name = "Sequential"
+
   module Ll = Seqds.Linked_list (Seqds.Int_key)
   module Sk = Seqds.Skip_list (Seqds.Int_key)
   module Hs = Seqds.Hash (Seqds.Int_key)
 
-  let name = "Sequential"
-
-  type instance =
-    | I_ll of Ll.t
-    | I_sk of Sk.t
-    | I_hs of Hs.t
-
-  let cell : instance option ref = ref None
-
-  let setup cfg =
-    let keys = Workload.initial_keys cfg in
-    let inst =
-      match C.structure with
-      | Linked_list ->
-        let t = Ll.create () in
-        Ll.unsafe_preload t keys;
-        I_ll t
-      | Skip_list ->
-        let t = Sk.create () in
-        Sk.unsafe_preload t keys;
-        I_sk t
-      | Hash_set { load_factor } ->
-        let t = Hs.create_with_buckets (buckets_for cfg load_factor) in
-        Hs.unsafe_preload t keys;
-        I_hs t
-    in
-    cell := Some inst
-
-  let instance () =
-    match !cell with
-    | Some i -> i
-    | None -> invalid_arg "Target.run_op before setup"
-
-  let run_op op =
-    match (instance (), op) with
-    | I_ll t, Workload.Contains v -> ignore (Ll.contains t v)
-    | I_ll t, Workload.Add v -> ignore (Ll.add t v)
-    | I_ll t, Workload.Remove v -> ignore (Ll.remove t v)
-    | I_ll t, Workload.Add_all (a, b) -> ignore (Ll.add_all t [ a; b ])
-    | I_ll t, Workload.Remove_all (a, b) -> ignore (Ll.remove_all t [ a; b ])
-    | I_sk t, Workload.Contains v -> ignore (Sk.contains t v)
-    | I_sk t, Workload.Add v -> ignore (Sk.add t v)
-    | I_sk t, Workload.Remove v -> ignore (Sk.remove t v)
-    | I_sk t, Workload.Add_all (a, b) -> ignore (Sk.add_all t [ a; b ])
-    | I_sk t, Workload.Remove_all (a, b) -> ignore (Sk.remove_all t [ a; b ])
-    | I_hs t, Workload.Contains v -> ignore (Hs.contains t v)
-    | I_hs t, Workload.Add v -> ignore (Hs.add t v)
-    | I_hs t, Workload.Remove v -> ignore (Hs.remove t v)
-    | I_hs t, Workload.Add_all (a, b) -> ignore (Hs.add_all t [ a; b ])
-    | I_hs t, Workload.Remove_all (a, b) -> ignore (Hs.remove_all t [ a; b ])
-
-  let abort_snapshot () : Stats.snapshot = Stats.empty_snapshot ()
-
+  let abort_snapshot = Stats.empty_snapshot
   let reset_stats () = ()
 end
 
@@ -167,8 +141,8 @@ let series_for structure : (module TARGET) list =
   let module C = struct
     let structure = structure
   end in
-  [ (module Seq_target (C) : TARGET);
-    (module Stm_target (Oestm.Oe) (C) : TARGET);
-    (module Stm_target (Classic_stm.Lsa) (C) : TARGET);
-    (module Stm_target (Classic_stm.Tl2) (C) : TARGET);
-    (module Stm_target (Classic_stm.Swisstm) (C) : TARGET) ]
+  [ (module Make (Seq_impl) (C) : TARGET);
+    (module Make (Stm_impl (Oestm.Oe)) (C) : TARGET);
+    (module Make (Stm_impl (Classic_stm.Lsa)) (C) : TARGET);
+    (module Make (Stm_impl (Classic_stm.Tl2)) (C) : TARGET);
+    (module Make (Stm_impl (Classic_stm.Swisstm)) (C) : TARGET) ]

@@ -55,7 +55,6 @@ module Rset = struct
 
   let push t e = Vec.push t.entries e
   let iter f t = Vec.iter f t.entries
-  let mem_pe t pe = Vec.exists (fun e -> e.r_pe = pe) t.entries
 
   (* Appending leaves [dst]'s watermark alone: the new entries land in the
      unvalidated suffix, exactly where incremental validation looks. *)
@@ -121,36 +120,24 @@ let wentry_pe (W e) = e.tv.Tvar.id
 let dummy_wentry = W { tv = Tvar.make 0; pending = 0; locked = false; w_saved = 0 }
 
 module Wset = struct
-  (* Lookup is O(1) in the common cases: a per-set summary word answers
-     the read-of-unwritten-location miss with one load and a branch, small
-     sets (below [small_threshold]) fall back to a linear scan of the
-     entry vector, and larger sets carry an open-addressing hash table
-     mapping tvar id -> entry slot (linear probing, power-of-two capacity,
-     load factor <= 1/2).  The table needs no per-entry deletion: entries
-     only leave a write set wholesale through [clear], which just marks
-     the table inactive for rebuild on the next threshold crossing. *)
-  let small_threshold = 8
-
+  (* TL2's write set: a per-set summary word answers the common
+     read-of-unwritten-location miss with one load and a branch; a hit, or
+     a summary false positive, scans the entry vector.  Write sets stay
+     small (the paper's composed operations write a handful of cells), so
+     the scan is a few compares. *)
   type t = {
     entries : wentry Vec.t;
     mutable sorted : bool;
     mutable summary : int;      (* membership bloom word over tvar ids *)
-    mutable index : int array;  (* open addressing: entry slot, or -1 *)
-    mutable indexed : bool;     (* [index] reflects [entries] *)
   }
 
   let create () =
-    { entries = Vec.create ~dummy:dummy_wentry ();
-      sorted = true;
-      summary = 0;
-      index = [||];
-      indexed = false }
+    { entries = Vec.create ~dummy:dummy_wentry (); sorted = true; summary = 0 }
 
   let clear t =
     Vec.clear t.entries;
     t.sorted <- true;
-    t.summary <- 0;
-    t.indexed <- false
+    t.summary <- 0
 
   let is_empty t = Vec.is_empty t.entries
   let size t = Vec.length t.entries
@@ -161,39 +148,9 @@ module Wset = struct
     let b = pe land 63 in
     1 lsl (b - ((b lsr 5) land 1))
 
-  (* Fibonacci-style multiplicative hash; the low bits of [pe * odd] are a
-     bijection mod the power-of-two capacity, so sequential tvar ids
-     spread without clustering. *)
-  let probe_start pe mask = pe * 0x9E3779B1 land mask
-
-  let index_insert t pe slot =
-    let mask = Array.length t.index - 1 in
-    let i = ref (probe_start pe mask) in
-    while t.index.(!i) >= 0 do
-      i := (!i + 1) land mask
-    done;
-    t.index.(!i) <- slot
-
-  let rebuild_index t cap =
-    if Array.length t.index < cap then t.index <- Array.make cap (-1)
-    else Array.fill t.index 0 (Array.length t.index) (-1);
-    t.indexed <- true;
-    Vec.iteri (fun slot e -> index_insert t (wentry_pe e) slot) t.entries
-
-  (* Entry slot of [pe], or -1.  The probe terminates because the table
-     keeps load factor <= 1/2, so an empty slot is always reachable. *)
+  (* Entry slot of [pe], or -1. *)
   let find_slot t pe =
     if t.summary land summary_bit pe = 0 then -1
-    else if t.indexed then begin
-      let mask = Array.length t.index - 1 in
-      let rec probe i =
-        let s = t.index.(i) in
-        if s < 0 then -1
-        else if wentry_pe (Vec.get t.entries s) = pe then s
-        else probe ((i + 1) land mask)
-      in
-      probe (probe_start pe mask)
-    end
     else begin
       let n = Vec.length t.entries in
       let rec scan i =
@@ -216,8 +173,6 @@ module Wset = struct
       let (W e) = Vec.get t.entries s in
       Some (Obj.magic e.pending : a)
 
-  let mem_pe t pe = find_slot t pe >= 0
-
   let add (type a) t (tv : a Tvar.t) (v : a) =
     let pe = tv.Tvar.id in
     match find_slot t pe with
@@ -226,17 +181,9 @@ module Wset = struct
       e.pending <- Obj.magic (v : a);
       false
     | _ ->
-      let slot = Vec.length t.entries in
       Vec.push t.entries (W { tv; pending = v; locked = false; w_saved = 0 });
       t.summary <- t.summary lor summary_bit pe;
       t.sorted <- false;
-      let n = slot + 1 in
-      if t.indexed then begin
-        if 2 * n > Array.length t.index then
-          rebuild_index t (2 * Array.length t.index)
-        else index_insert t pe slot
-      end
-      else if n >= small_threshold then rebuild_index t (max 32 (2 * n));
       true
 
   let iter_pes t f = Vec.iter (fun e -> f (wentry_pe e)) t.entries
@@ -244,9 +191,7 @@ module Wset = struct
   let ensure_sorted t =
     if not t.sorted then begin
       Vec.sort (fun a b -> compare (wentry_pe a) (wentry_pe b)) t.entries;
-      t.sorted <- true;
-      (* Sorting permutes entry slots, so the id -> slot table is stale. *)
-      if t.indexed then rebuild_index t (Array.length t.index)
+      t.sorted <- true
     end
 
   let unlock_all_restore t =

@@ -53,16 +53,13 @@ module Rset : sig
   val filter_pe : t -> pe:int -> int
   (** Drop every observation of [pe] (elastic early release), adjusting the
       watermark; returns how many entries were dropped. *)
-
-  val mem_pe : t -> int -> bool
 end
 
 (** {1 Write entries} *)
 
-(** A write set indexed for O(1) lookup by tvar id: a summary (bloom) word
-    answers the common read-of-unwritten-location miss with one load and a
-    branch, small sets use a linear scan, and larger sets carry an
-    open-addressing hash table from tvar id to entry slot. *)
+(** A write set keyed by tvar id: a summary (bloom) word answers the
+    common read-of-unwritten-location miss with one load and a branch; a
+    hit, or a summary false positive, scans the entries. *)
 module Wset : sig
   type t
 
@@ -73,8 +70,6 @@ module Wset : sig
 
   val find : t -> 'a Tvar.t -> 'a option
   (** Pending value for [tv], if this write set wrote it. *)
-
-  val mem_pe : t -> int -> bool
 
   val add : t -> 'a Tvar.t -> 'a -> bool
   (** Record (or overwrite) the pending value for [tv].  Returns [true] when

@@ -40,24 +40,11 @@ let iter f t =
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
 let exists p t =
   let rec loop i = i < t.len && (p t.data.(i) || loop (i + 1)) in
   loop 0
 
 let for_all p t = not (exists (fun x -> not (p x)) t)
-
-let find_opt p t =
-  let rec loop i =
-    if i >= t.len then None
-    else if p t.data.(i) then Some t.data.(i)
-    else loop (i + 1)
-  in
-  loop 0
 
 let fold_left f acc t =
   let acc = ref acc in
@@ -68,48 +55,20 @@ let fold_left f acc t =
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 
-(* In-place, allocation-free sort of the live prefix: insertion sort for
-   small prefixes, heapsort beyond (both O(1) space).  Stability is not
-   promised — the commit path sorts write entries by unique tvar id. *)
+(* In-place, allocation-free insertion sort of the live prefix (O(1)
+   space).  Stability is not promised — the commit path sorts write
+   entries by unique tvar id, and write sets are small. *)
 let sort cmp t =
-  let a = t.data and n = t.len in
-  if n > 1 then
-    if n <= 32 then
-      for i = 1 to n - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && cmp a.(!j) x > 0 do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done
-    else begin
-      let swap i j =
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      in
-      let rec sift_down i stop =
-        let l = (2 * i) + 1 in
-        if l < stop then begin
-          let child =
-            if l + 1 < stop && cmp a.(l) a.(l + 1) < 0 then l + 1 else l
-          in
-          if cmp a.(i) a.(child) < 0 then begin
-            swap i child;
-            sift_down child stop
-          end
-        end
-      in
-      for i = (n / 2) - 1 downto 0 do
-        sift_down i n
-      done;
-      for stop = n - 1 downto 1 do
-        swap 0 stop;
-        sift_down 0 stop
-      done
-    end
+  let a = t.data in
+  for i = 1 to t.len - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
 
 let append_into ~src ~dst = iter (push dst) src
 

@@ -21,10 +21,8 @@ val clear : 'a t -> unit
     store. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val exists : ('a -> bool) -> 'a t -> bool
 val for_all : ('a -> bool) -> 'a t -> bool
-val find_opt : ('a -> bool) -> 'a t -> 'a option
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
 val sort : ('a -> 'a -> int) -> 'a t -> unit

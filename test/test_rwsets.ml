@@ -106,10 +106,10 @@ let prop_wset_last_write_wins =
         (List.init 10 Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* Differential properties: indexed Wset vs a linear assoc model, over
-   random op sequences long enough to cross the small-set threshold and
-   grow the hash index, with duplicate-id overwrites and post-clear
-   reuse of the same (scratch-style) set. *)
+(* Differential properties: Wset vs a linear assoc model, over random op
+   sequences long enough to grow sets well past the paper's write-set
+   sizes, with duplicate-id overwrites and post-clear reuse of the same
+   (scratch-style) set. *)
 
 type wop = Add of int * int | Clear
 
@@ -124,7 +124,7 @@ let wop_print = function
   | Clear -> "Clear"
 
 let prop_wset_differential =
-  QCheck.Test.make ~name:"wset: indexed = linear model under random ops"
+  QCheck.Test.make ~name:"wset = linear model under random ops"
     ~count:300
     QCheck.(make ~print:(QCheck.Print.list wop_print) (Gen.list_size (Gen.int_range 0 120) wop_gen))
     (fun ops ->
@@ -135,8 +135,7 @@ let prop_wset_differential =
         Array.for_all
           (fun tv ->
             let pe = Tvar.id tv in
-            Rwsets.Wset.find ws tv = List.assoc_opt pe !model
-            && Rwsets.Wset.mem_pe ws pe = List.mem_assoc pe !model)
+            Rwsets.Wset.find ws tv = List.assoc_opt pe !model)
           tvs
         && Rwsets.Wset.size ws = List.length !model
         && Rwsets.Wset.is_empty ws = (!model = [])
@@ -161,8 +160,8 @@ let test_wset_large_lock_order () =
   let n = 100 in
   let tvs = Array.init n (fun i -> Tvar.make i) in
   let ws = Rwsets.Wset.create () in
-  (* Insert in a scrambled order so [lock_all]'s sort has work to do and
-     the index must survive the resulting slot permutation. *)
+  (* 100 entries: [lock_all]'s sort runs well past any small-set size,
+     and lookups must survive the resulting slot permutation. *)
   Array.iter (fun tv -> ignore (Rwsets.Wset.add ws tv 0)) tvs;
   Alcotest.(check bool) "lock_all succeeds" true
     (Rwsets.Wset.lock_all ws ~owner:1);
@@ -170,7 +169,7 @@ let test_wset_large_lock_order () =
   Rwsets.Wset.iter_pes ws (fun pe ->
       Alcotest.(check bool) "pes strictly ascending" true (pe > !prev);
       prev := pe);
-  (* The id -> slot index must still resolve every entry after the sort. *)
+  (* Every entry must still be found after the sort. *)
   Array.iter
     (fun tv ->
       Alcotest.(check (option int))
@@ -330,16 +329,15 @@ let test_wset_clear_releases_tvar () =
     (Rwsets.Wset.find ws b)
 
 (* ------------------------------------------------------------------ *)
-(* DPOR sweep: verdicts must be unchanged by the set indexing.  One
-   process writes 9 private pads — past the small-set threshold (8), so
-   the hash index is live inside the explored schedules — reads them
-   back through the write set and increments a shared counter; a rival
-   runs a plain increment.  The asymmetry matters: pads are private, so
+(* DPOR sweep: verdicts must be unchanged by write-set lookups.  One
+   process writes 9 private pads, reads them back through the write set
+   (every lookup a summary hit and a scan) and increments a shared
+   counter; a rival runs a plain increment.  The asymmetry matters: pads are private, so
    the only races are on the counter and the clock, and the rival's
    short transaction keeps the schedule space within DPOR's reach (two
    symmetric big transactions blow it up by orders of magnitude). *)
 
-let indexed_pads (module S : Stm_intf.S) =
+let private_pads (module S : Stm_intf.S) =
   let final = ref (fun () -> 0) in
   { Schedsim.Explore.procs =
       (fun () ->
@@ -348,7 +346,6 @@ let indexed_pads (module S : Stm_intf.S) =
         final := (fun () -> S.peek shared);
         let big () =
           S.atomic (fun ctx ->
-              (* 9 writes: crosses the threshold (8), builds the index. *)
               Array.iteri (fun j tv -> S.write ctx tv (j + 1)) pads;
               (* Read back through the write set: every lookup must hit. *)
               let sum =
@@ -364,18 +361,18 @@ let indexed_pads (module S : Stm_intf.S) =
       (fun outcome ->
         (not (Schedsim.Sched.completed outcome)) || !final () = 2) }
 
-let test_dpor_indexed_pads () =
+let test_dpor_private_pads () =
   List.iter
     (fun (name, s) ->
       match Schedsim.Explore.explore ~mode:`Dpor ~max_runs:20_000 s with
       | Schedsim.Explore.All_ok _ -> ()
       | Schedsim.Explore.Violation _ ->
-        Alcotest.failf "%s: violation with indexed write sets" name
+        Alcotest.failf "%s: violation with a 9-entry write set" name
       | Schedsim.Explore.Out_of_budget _ ->
         Alcotest.failf "%s: out of budget" name)
-    [ ("TL2", indexed_pads (module Classic_stm.Tl2));
-      ("LSA", indexed_pads (module Classic_stm.Lsa));
-      ("OE-STM", indexed_pads (module Oestm.Oe)) ]
+    [ ("TL2", private_pads (module Classic_stm.Tl2));
+      ("LSA", private_pads (module Classic_stm.Lsa));
+      ("OE-STM", private_pads (module Oestm.Oe)) ]
 
 (* Small naive-vs-DPOR differential: the counter scenario exercises
    write-after-read lookups on every increment; both modes must agree. *)
@@ -426,7 +423,7 @@ let suite =
       test_rset_validate_own_lock;
     Alcotest.test_case "read_consistent aborts on lock" `Quick
       test_read_consistent_aborts_on_lock;
-    Alcotest.test_case "wset large set lock order + index after sort" `Quick
+    Alcotest.test_case "wset large set lock order + find after sort" `Quick
       test_wset_large_lock_order;
     Alcotest.test_case "rset suffix-only semantics" `Quick
       test_rset_suffix_only_semantics;
@@ -438,8 +435,8 @@ let suite =
       `Quick test_validation_fault_injection;
     Alcotest.test_case "cleared wset releases tvar (gc)" `Quick
       test_wset_clear_releases_tvar;
-    Alcotest.test_case "dpor verdicts unchanged by indexing" `Slow
-      test_dpor_indexed_pads;
+    Alcotest.test_case "dpor verdicts unchanged by write-set lookups" `Slow
+      test_dpor_private_pads;
     Alcotest.test_case "dpor vs naive on counter" `Slow
       test_dpor_naive_agree_counter;
     QCheck_alcotest.to_alcotest prop_wset_last_write_wins;
