@@ -31,14 +31,6 @@ let scenario (module S : Stm_intf.S) =
   let both_set () = S.peek x = 1 && S.peek y = 1 in
   (procs, both_set)
 
-let stm_of_string = function
-  | "oe" -> Ok (module Oestm.Oe : Stm_intf.S)
-  | "drop" -> Ok (module Oestm.E_broken : Stm_intf.S)
-  | "tl2" -> Ok (module Classic_stm.Tl2 : Stm_intf.S)
-  | "lsa" -> Ok (module Classic_stm.Lsa : Stm_intf.S)
-  | "swiss" -> Ok (module Classic_stm.Swisstm : Stm_intf.S)
-  | s -> Error (Printf.sprintf "unknown STM %S (oe drop tl2 lsa swiss)" s)
-
 let analyse h =
   let open Histories in
   Format.printf "@.Recorded history:@.%a@." History.pp h;
@@ -89,61 +81,59 @@ let analyse h =
       | _ -> ())
     (History.procs h)
 
-let mode_of_string = function
-  | "dpor" -> Ok `Dpor
-  | "naive" -> Ok `Naive
-  | s -> Error (Printf.sprintf "unknown mode %S (dpor naive)" s)
-
-let main stm_name explore mode_name =
-  match (stm_of_string stm_name, mode_of_string mode_name) with
-  | Error e, _ | _, Error e ->
-    prerr_endline e;
-    2
-  | Ok (module S : Stm_intf.S), Ok mode ->
-    Printf.printf "STM: %s\n" S.name;
-    let schedule =
-      if explore then begin
-        let holds = ref (fun () -> false) in
-        match
-          Schedsim.Explore.explore ~mode ~max_runs:10_000
-            { Schedsim.Explore.procs =
-                (fun () ->
-                  let procs, both = scenario (module S) in
-                  holds := both;
-                  procs);
-              check = (fun _ -> not (!holds ())) }
-        with
-        | Schedsim.Explore.Violation { schedule; explored; pruned } ->
-          Printf.printf
-            "explorer: atomicity violation (both inserted) after %d \
-             interleavings (%d pruned)\n"
-            explored pruned;
-          schedule
-        | Schedsim.Explore.All_ok { explored; pruned } ->
-          Printf.printf "explorer: all %d interleavings atomic (%d pruned)\n"
-            explored pruned;
-          []
-        | Schedsim.Explore.Out_of_budget { explored; pruned } ->
-          Printf.printf "explorer: no violation in %d interleavings (%d pruned)\n"
-            explored pruned;
-          []
-      end
-      else []
-    in
-    let events, both =
-      Recorder.record (fun () ->
-          let procs, both = scenario (module S) in
-          let _ = Schedsim.Sched.run_schedule ~schedule procs in
-          both ())
-    in
-    Printf.printf "final state: both inserted = %b\n" both;
-    analyse (Histories.Convert.to_history events);
-    0
+let main (module S : Stm_intf.S) explore mode =
+  Printf.printf "STM: %s\n" S.name;
+  let schedule =
+    if explore then begin
+      let holds = ref (fun () -> false) in
+      match
+        Schedsim.Explore.explore ~mode ~max_runs:10_000
+          { Schedsim.Explore.procs =
+              (fun () ->
+                let procs, both = scenario (module S) in
+                holds := both;
+                procs);
+            check = (fun _ -> not (!holds ())) }
+      with
+      | Schedsim.Explore.Violation { schedule; explored; pruned } ->
+        Printf.printf
+          "explorer: atomicity violation (both inserted) after %d \
+           interleavings (%d pruned)\n"
+          explored pruned;
+        schedule
+      | Schedsim.Explore.All_ok { explored; pruned } ->
+        Printf.printf "explorer: all %d interleavings atomic (%d pruned)\n"
+          explored pruned;
+        []
+      | Schedsim.Explore.Out_of_budget { explored; pruned } ->
+        Printf.printf "explorer: no violation in %d interleavings (%d pruned)\n"
+          explored pruned;
+        []
+    end
+    else []
+  in
+  let events, both =
+    Recorder.record (fun () ->
+        let procs, both = scenario (module S) in
+        let _ = Schedsim.Sched.run_schedule ~schedule procs in
+        both ())
+  in
+  Printf.printf "final state: both inserted = %b\n" both;
+  analyse (Histories.Convert.to_history events)
 
 let cmd =
   let stm =
-    Arg.(value & opt string "oe" & info [ "stm" ] ~docv:"STM"
-           ~doc:"STM to drive: oe, drop, tl2, lsa, swiss.")
+    Arg.(value
+         & opt
+             (enum
+                [ ("oe", (module Oestm.Oe : Stm_intf.S));
+                  ("drop", (module Oestm.E_broken));
+                  ("tl2", (module Classic_stm.Tl2));
+                  ("lsa", (module Classic_stm.Lsa));
+                  ("swiss", (module Classic_stm.Swisstm)) ])
+             (module Oestm.Oe)
+         & info [ "stm" ] ~docv:"STM"
+             ~doc:"STM to drive: oe, drop, tl2, lsa, swiss.")
   in
   let explore =
     Arg.(value & flag & info [ "explore" ]
@@ -151,7 +141,9 @@ let cmd =
                  and replay the violating schedule if one exists.")
   in
   let mode =
-    Arg.(value & opt string "dpor" & info [ "mode" ] ~docv:"MODE"
+    Arg.(value
+         & opt (enum [ ("dpor", `Dpor); ("naive", `Naive) ]) `Dpor
+         & info [ "mode" ] ~docv:"MODE"
            ~doc:"Exploration mode: dpor (partial-order reduction, default) \
                  or naive (full schedule tree).")
   in
@@ -160,4 +152,4 @@ let cmd =
        ~doc:"Record the Fig. 1 composition scenario and run the theory checkers on it")
     Term.(const main $ stm $ explore $ mode)
 
-let () = exit (Cmd.eval' cmd)
+let () = exit (Cmd.eval cmd)

@@ -6,32 +6,20 @@
    Options:
      --json                 findings as a JSON array on stdout
      --sarif FILE           also write a SARIF 2.1.0 log to FILE
-     --baseline FILE        suppress findings listed in FILE; exit 1
-                            only on findings NOT in the baseline
-     --write-baseline FILE  write the current findings to FILE (one
-                            kind<TAB>file<TAB>message line each) and
-                            exit 0
 
    Paths default to lib, bin, examples and test; directories are walked
    recursively for *.ml files (fixtures/ subtrees are skipped — they
    exist to be deliberately dirty).  All files are analyzed together so
-   the interprocedural checks see cross-file call chains.  Exit status:
-   0 clean, 1 findings, 2 parse/usage errors. *)
+   the interprocedural checks see cross-file call chains.  A finding is
+   suppressed only by a [@txlint.allow] annotation at its site.  Exit
+   status: 0 clean, 1 findings, 2 parse/usage errors. *)
 
 let default_roots = [ "lib"; "bin"; "examples"; "test" ]
 
 let usage () =
   prerr_endline
-    "usage: txlint [--json] [--sarif FILE] [--baseline FILE]\n\
-    \              [--write-baseline FILE] [PATH ...]";
+    "usage: txlint [--json] [--sarif FILE] [PATH ...]";
   exit 2
-
-let read_file file =
-  match In_channel.with_open_bin file In_channel.input_all with
-  | text -> text
-  | exception Sys_error msg ->
-    Printf.eprintf "txlint: %s\n" msg;
-    exit 2
 
 let write_file file text =
   match Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc text) with
@@ -43,8 +31,6 @@ let write_file file text =
 let () =
   let json = ref false in
   let sarif = ref None in
-  let baseline = ref None in
-  let write_baseline = ref None in
   let paths = ref [] in
   let argv = Sys.argv and n = Array.length Sys.argv in
   let i = ref 1 in
@@ -60,9 +46,6 @@ let () =
     (match argv.(!i) with
     | "--json" -> json := true
     | "--sarif" -> sarif := Some (next_arg "--sarif")
-    | "--baseline" -> baseline := Some (next_arg "--baseline")
-    | "--write-baseline" ->
-      write_baseline := Some (next_arg "--write-baseline")
     | "--help" | "-h" -> usage ()
     | arg when String.length arg > 0 && arg.[0] = '-' ->
       Printf.eprintf "txlint: unknown option %s\n" arg;
@@ -84,33 +67,8 @@ let () =
     exit 2
   end;
   let findings, errors = Lint.lint_files files in
-  (match !write_baseline with
-  | Some file ->
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "# txlint baseline: kind<TAB>file<TAB>message\n";
-    List.iter
-      (fun f ->
-        Buffer.add_string b (Lint.finding_key f);
-        Buffer.add_char b '\n')
-      findings;
-    write_file file (Buffer.contents b);
-    Printf.eprintf "txlint: wrote %d finding(s) to %s\n"
-      (List.length findings) file;
-    List.iter (Printf.eprintf "txlint: %s\n") errors;
-    exit (if errors <> [] then 2 else 0)
-  | None -> ());
-  let fresh =
-    match !baseline with
-    | None -> findings
-    | Some file ->
-      Lint.subtract_baseline
-        ~baseline:(Lint.parse_baseline (read_file file))
-        findings
-  in
-  (* SARIF reports the fresh findings only: with a baseline in play the
-     uploaded log should match what gates CI. *)
   (match !sarif with
-  | Some file -> write_file file (Sarif.to_string fresh)
+  | Some file -> write_file file (Sarif.to_string findings)
   | None -> ());
   if !json then begin
     print_string "[";
@@ -119,26 +77,16 @@ let () =
         if i > 0 then print_string ",";
         print_string "\n  ";
         print_string (Lint.finding_to_json f))
-      fresh;
-    if fresh <> [] then print_newline ();
+      findings;
+    if findings <> [] then print_newline ();
     print_endline "]"
   end
-  else List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) fresh;
+  else List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
   List.iter (Printf.eprintf "txlint: %s\n") errors;
   if errors <> [] then exit 2
-  else if fresh <> [] then begin
-    Printf.eprintf "txlint: %d finding(s) in %d file(s)%s\n"
-      (List.length fresh) (List.length files)
-      (match !baseline with
-      | Some _ ->
-        Printf.sprintf " (not in baseline; %d baselined)"
-          (List.length findings - List.length fresh)
-      | None -> "");
+  else if findings <> [] then begin
+    Printf.eprintf "txlint: %d finding(s) in %d file(s)\n"
+      (List.length findings) (List.length files);
     exit 1
   end
-  else
-    Printf.eprintf "txlint: clean (%d files%s)\n" (List.length files)
-      (match !baseline with
-      | Some _ when findings <> [] ->
-        Printf.sprintf ", %d baselined finding(s)" (List.length findings)
-      | _ -> "")
+  else Printf.eprintf "txlint: clean (%d files)\n" (List.length files)

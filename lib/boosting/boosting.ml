@@ -24,57 +24,17 @@ open Stm_core
 
 exception Too_many_retries = Control.Starvation
 
-(** One abstract lock: a test-and-set lock with an owner, reentrant with
-    respect to one boosted transaction.  The [id] doubles as the
+(** An abstract lock is a {!Vlock.t}, the same protection element a tvar
+    carries: its id comes from the tvar id supply and doubles as the
     protection-element identifier when runs are recorded for the theory
-    checkers. *)
-module Abstract_lock = struct
-  type t = {
-    holder : int Atomic.t;  (* root transaction id, or -1 *)
-    id : int;
-  }
-
-  let next_id = Atomic.make 1_000_000  (* disjoint from tvar ids in practice *)
-
-  let create () =
-    { holder = Atomic.make (-1); id = Atomic.fetch_and_add next_id 1 }
-
-  let id t = t.id
-
-  (* Lock transitions report themselves to the sanitizer (abstract locks
-     carry no version, so only the balance checks apply).  Events fire on
-     actual state changes, not on reentrant hits or failed attempts. *)
-  let try_acquire t ~owner =
-    if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.id);
-    Atomic.get t.holder = owner
-    ||
-    if Atomic.compare_and_set t.holder (-1) owner then begin
-      if !Runtime.sanitizer then
-        Runtime.sanitizer_event
-          (Runtime.San_acquire { pe = t.id; owner; version = 0 });
-      true
-    end
-    else false
-
-  (* The release event fires before the store, as in [Vlock]: fired after
-     it, a contender's acquire event can overtake it and read as an
-     acquire while held.  Only a recovery steal can move [holder] away
-     from [owner] in between, and then the CAS leaves the thief's hold. *)
-  let release t ~owner =
-    if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.id);
-    if Atomic.get t.holder = owner then begin
-      if !Runtime.sanitizer then
-        Runtime.sanitizer_event
-          (Runtime.San_release { pe = t.id; owner; version = None });
-      ignore (Atomic.compare_and_set t.holder owner (-1))
-    end
-
-  let held_by t = Atomic.get t.holder
-end
+    checkers.  Boosting never publishes a version through it — every
+    release restores the pre-lock stamp — so the version moves only when
+    recovery steals the lock. *)
+let abstract_lock () = Vlock.create ~pe:(Runtime.fresh_tvar_id ()) ()
 
 type tx = {
   root_id : int;
-  mutable locks : Abstract_lock.t list;  (* acquired, for release at root commit *)
+  mutable locks : (Vlock.t * int) list;  (* acquired, with pre-lock stamps *)
   mutable undo : (unit -> unit) list;    (* inverses, newest first *)
   mutable durable : (int * string) list; (* WAL payloads, newest first *)
   rec_state : Txrec.t option;            (* event recording, when enabled *)
@@ -95,15 +55,16 @@ let acquire tx lock =
      steal; the abort rolls the undo log back and releases the remaining
      locks. *)
   Recovery.check_poisoned ();
-  (* Reentrant fast path: [holder = root_id] can only have been set by this
-     transaction and is only cleared at its own commit/abort, so the read
-     is a stable local fact — and the invariant "we hold it iff it is in
-     [tx.locks]" makes the old O(|locks|) membership scan unnecessary. *)
-  if Abstract_lock.held_by lock = tx.root_id then ()
+  (* Reentrant fast path: the claim cell names [root_id] only while this
+     transaction holds the lock (it is claimed by our own acquisition and
+     cleared by our own release or a steal), so the read is a stable local
+     fact — and the invariant "we hold it iff it is in [tx.locks]" makes a
+     membership scan unnecessary. *)
+  if Vlock.holder lock = tx.root_id then ()
   else begin
   let patience = 1_000 in
   let rec go n =
-    Runtime.schedule_point_on (Runtime.Lock (Abstract_lock.id lock));
+    Runtime.schedule_point_on (Runtime.Lock (Vlock.pe lock));
     (* Serial-irrevocable gate.  Boosting applies operations eagerly, so
        the gate sits on lock acquisition (the engine's only wait point):
        a transaction refused here rolls back via its undo log and releases
@@ -112,19 +73,19 @@ let acquire tx lock =
        harmless, since boosting commits touch no shared STM metadata. *)
     if not (Runtime.Serial.commit_allowed ()) then
       Control.abort_tx Control.Killed;
-    (* An injected lock failure skips this round's acquisition attempt, so
-       it behaves exactly like contention: retry, then abort at patience. *)
-    if
-      (not (!Runtime.fault_injection && Faults.inject_lock_fail ()))
-      && (Abstract_lock.try_acquire lock
-            ~owner:tx.root_id
-          [@txlint.allow "lock-release"
-              "abstract locks accumulate in tx.locks; commit/abort \
-               release them all in [finish], and a simulated crash must \
-               leave them held for lease reclamation"])
-    then begin
-      tx.locks <- lock :: tx.locks;
-      Txrec.acquire tx.rec_state ~pe:(Abstract_lock.id lock)
+    (* An injected lock failure (drawn inside [try_lock_save]) behaves
+       exactly like contention: retry, then abort at patience. *)
+    let saved =
+      (Vlock.try_lock_save lock
+         ~owner:tx.root_id
+       [@txlint.allow "lock-release"
+           "abstract locks accumulate in tx.locks; commit/abort \
+            release them all in [finish], and a simulated crash must \
+            leave them held for lease reclamation"])
+    in
+    if saved >= 0 then begin
+      tx.locks <- (lock, saved) :: tx.locks;
+      Txrec.acquire tx.rec_state ~pe:(Vlock.pe lock)
     end
     else begin
       (* Orphan reclamation: every 64 failed rounds (and once more before
@@ -133,8 +94,7 @@ let acquire tx lock =
       let stolen =
         !Runtime.recovery
         && (n land 63 = 63 || n >= patience)
-        && Recovery.try_steal_owner ~holder:lock.Abstract_lock.holder
-             ~pe:(Abstract_lock.id lock)
+        && Recovery.try_steal_vlock lock
       in
       if stolen then go n
       else if n >= patience then Control.abort_tx Control.Lock_contention
@@ -170,7 +130,10 @@ let rec bump_durable_floor v =
     bump_durable_floor v
 
 let release_all tx =
-  List.iter (fun l -> Abstract_lock.release l ~owner:tx.root_id) tx.locks;
+  (* CAS-based: a lock recovery stole is the thief's now, and stays. *)
+  List.iter
+    (fun (l, saved) -> ignore (Vlock.unlock_restore_from l ~saved))
+    tx.locks;
   tx.locks <- []
 
 let rollback tx =
@@ -272,7 +235,7 @@ struct
 
   type t = {
     base : Base.t;
-    stripes : Abstract_lock.t array;
+    stripes : Vlock.t array;
     base_mutex : Mutex.t;
         (* The sequential structure itself is not thread-safe; distinct
            keys on distinct stripes may still touch adjacent nodes, so the
@@ -283,7 +246,7 @@ struct
 
   let create ?(stripes = 64) () =
     { base = Base.create ();
-      stripes = Array.init stripes (fun _ -> Abstract_lock.create ());
+      stripes = Array.init stripes (fun _ -> abstract_lock ());
       base_mutex = Mutex.create () }
 
   let lock_for t k = t.stripes.(K.hash k mod Array.length t.stripes)

@@ -12,25 +12,11 @@ exception Too_many_retries of string
 (** Alias of {!Stm_core.Control.Starvation}: raised when the retry cap is
     exceeded under [`Raise] starvation mode. *)
 
-(** One abstract lock: a test-and-set lock with an owner, reentrant with
-    respect to one boosted transaction.  The [id] doubles as the
-    protection-element identifier when runs are recorded for the theory
-    checkers. *)
-module Abstract_lock : sig
-  type t
-
-  val create : unit -> t
-  val id : t -> int
-
-  val try_acquire : t -> owner:int -> bool
-  (** [true] if the lock is now (or already was) held by [owner]. *)
-
-  val release : t -> owner:int -> unit
-  (** Release if held by [owner]; a no-op otherwise. *)
-
-  val held_by : t -> int
-  (** Current holder's owner id, or -1 when free. *)
-end
+val abstract_lock : unit -> Stm_core.Vlock.t
+(** A fresh abstract lock.  It is a {!Stm_core.Vlock.t} whose
+    protection-element id comes from the tvar id supply, so acquisition,
+    release, recovery's steal, the sanitizer, tracing and fault injection
+    treat it exactly like a tvar's lock. *)
 
 type tx
 (** Handle on the running boosted transaction, passed to the body of
@@ -41,11 +27,12 @@ val stats : Stm_core.Stats.t
 
 val in_transaction : unit -> bool
 
-val acquire : tx -> Abstract_lock.t -> unit
+val acquire : tx -> Stm_core.Vlock.t -> unit
 (** Acquire an abstract lock for the running transaction (idempotent);
     aborts the transaction if the lock stays unavailable past the
     transaction's patience.  The lock is outherited: released only when
-    the root commits or aborts. *)
+    the root commits or aborts.  With recovery on, a lock held by a dead
+    or stale owner is stolen ({!Stm_core.Recovery.try_steal_vlock}). *)
 
 val log_undo : tx -> (unit -> unit) -> unit
 (** Record the inverse of an operation about to be applied. *)

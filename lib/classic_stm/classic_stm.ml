@@ -76,8 +76,6 @@ module Make (P : POLICY) :
       if Vlock.version_of s > ctx.rv then begin
         if not P.extend_on_read then Control.abort_tx Control.Read_too_new;
         let now = Clock.now () in
-        (* Interval extension moves [rv], so the full set must revalidate:
-           the suffix-only scan is sound only while [rv] is unchanged. *)
         let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
         if Stats.detailed_enabled () then
           Stats.record_validation_len stats (Rwsets.Rset.last_scan ctx.rset);
@@ -89,12 +87,10 @@ module Make (P : POLICY) :
         { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe };
       (* Sanitizer strict-opacity mode: revalidate at every tracked read so
          an inconsistent snapshot aborts here, at the read that would
-         observe it, instead of at commit.  [rv] is unchanged since the
-         last successful validation, so only the unvalidated suffix needs
-         checking — the watermarked prefix still forms an rv-snapshot. *)
+         observe it, instead of at commit. *)
       if !Runtime.sanitizer then
         Sanitizer.on_tx_read ~validate:(fun () ->
-            let ok = Rwsets.Rset.validate_new ctx.rset ~owner:ctx.tx_id in
+            let ok = Rwsets.Rset.validate ctx.rset ~owner:ctx.tx_id in
             if Stats.detailed_enabled () then
               Stats.record_validation_len stats
                 (Rwsets.Rset.last_scan ctx.rset);

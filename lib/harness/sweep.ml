@@ -25,19 +25,11 @@ type point = {
   stats : Stm_core.Stats.snapshot;  (** accumulated over runs *)
 }
 
-let run_point ?(detailed = false) ?faults (module T : Target.TARGET) ~cfg
-    ~threads ~duration ~runs ~seed =
+let run_point ?(detailed = false) (module T : Target.TARGET) ~cfg ~threads
+    ~duration ~runs ~seed =
   let was_detailed = Stm_core.Stats.detailed_enabled () in
-  let saved_faults = Stm_core.Faults.current () in
   Stm_core.Stats.set_detailed detailed;
-  (match faults with Some c -> Stm_core.Faults.enable c | None -> ());
-  let restore () =
-    Stm_core.Stats.set_detailed was_detailed;
-    if Option.is_some faults then
-      match saved_faults with
-      | Some c -> Stm_core.Faults.enable c
-      | None -> Stm_core.Faults.disable ()
-  in
+  let restore () = Stm_core.Stats.set_detailed was_detailed in
   let one_run run_idx =
     T.setup cfg;
     T.reset_stats ();
@@ -102,11 +94,10 @@ let run_point ?(detailed = false) ?faults (module T : Target.TARGET) ~cfg
     stats = snap }
 
 (** One series: the same target across the thread axis. *)
-let run_series ?detailed ?faults (module T : Target.TARGET) ~cfg ~threads
-    ~duration ~runs ~seed =
+let run_series ?detailed (module T : Target.TARGET) ~cfg ~threads ~duration
+    ~runs ~seed =
   List.map
     (fun n ->
-      run_point ?detailed ?faults
-        (module T : Target.TARGET)
-        ~cfg ~threads:n ~duration ~runs ~seed)
+      run_point ?detailed (module T : Target.TARGET) ~cfg ~threads:n ~duration
+        ~runs ~seed)
     threads

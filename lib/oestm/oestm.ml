@@ -129,18 +129,6 @@ end = struct
        | None -> true
        | Some p -> validate_protected ~owner p)
 
-  (* Suffix-only variant for the sanitizer's per-read strict-opacity check:
-     [rv] is unchanged between successful validations at reads, so only the
-     entries appended since need checking (see DESIGN.md 5g).  Extension
-     and commit use the full [validate_levels]. *)
-  let rec validate_levels_new ~owner ctx =
-    Rwsets.Rset.validate_new ctx.rset_snap ~owner
-    && Rwsets.Rset.validate_new ctx.rset_prot ~owner
-    && window_valid ~owner ctx
-    && (match ctx.parent with
-       | None -> true
-       | Some p -> validate_levels_new ~owner p)
-
   let rec protected_is_empty ctx =
     Rwsets.Rset.is_empty ctx.rset_prot
     && (match ctx.parent with None -> true | Some p -> protected_is_empty p)
@@ -202,11 +190,10 @@ end = struct
       end;
       (* Sanitizer strict-opacity mode: revalidate everything this
          transaction still tracks (window included) at every read, so
-         inconsistent snapshots abort here rather than at commit.  [rv] is
-         unchanged since the last success, so the suffix scan suffices. *)
+         inconsistent snapshots abort here rather than at commit. *)
       if !Runtime.sanitizer then
         Sanitizer.on_tx_read ~validate:(fun () ->
-            let ok = validate_levels_new ~owner ctx in
+            let ok = validate_levels ~owner ctx in
             record_scan ctx;
             ok);
       Txrec.read ctx.root.rec_state ~tx:ctx.tx_id ~pe v;

@@ -48,10 +48,10 @@ let serial_reclaim () =
     | Registry.Live -> ()
     | (Registry.Stale | Registry.Dead) as st ->
       if st = Registry.Stale then Stats.record_lease_expiry ();
-      (* Doom before force-clear, mirroring the vlock/abstract-lock steal
-         paths: while the token sat free a concurrent commit may already
-         have happened, so a stale-but-alive holder that resurrects must
-         not keep believing it runs in exclusive serial mode — its next
+      (* Doom before force-clear, mirroring the vlock steal path: while
+         the token sat free a concurrent commit may already have happened,
+         so a stale-but-alive holder that resurrects must not keep
+         believing it runs in exclusive serial mode — its next
          [check_poisoned] (commit entry) aborts it [Poisoned] instead. *)
       ignore (Registry.doom_domain ~domain:h);
       if Runtime.Serial.force_clear ~expected:h then begin
@@ -121,31 +121,6 @@ let try_steal_vlock lock =
                      Stats.record_orphan_steal ();
                      true)
                end
-          end
-     end
-
-(* Steal an abstract (boosting) lock: doom the victim, then CAS the holder
-   cell free on its behalf.  The cell holds owner ids directly, so the CAS
-   from the observed holder is the whole transition. *)
-let try_steal_owner ~holder ~pe =
-  (not !Runtime.simulated)
-  && begin
-       let victim = Atomic.get holder in
-       victim >= 0
-       && begin
-            match Registry.owner_status ~lease_ns:(lease_ns ()) ~owner:victim with
-            | Registry.Live -> false
-            | (Registry.Stale | Registry.Dead) as st ->
-              if st = Registry.Stale then Stats.record_lease_expiry ();
-              ignore (Registry.doom ~owner:victim);
-              let stolen = Atomic.compare_and_set holder victim (-1) in
-              if stolen then begin
-                Stats.record_orphan_steal ();
-                if !Runtime.sanitizer then
-                  Runtime.sanitizer_event
-                    (Runtime.San_steal { pe; victim; version = None })
-              end;
-              stolen
           end
      end
 

@@ -2,12 +2,13 @@
 
     While enabled, every top-level transaction publishes itself in the
     {!Registry} and heartbeats at each scheduling point.  A contender that
-    observes a {!Vlock}, boosting abstract lock, or the {!Runtime.Serial}
-    token held by an owner whose slot is dead or stale past the lease may
-    steal it: the victim's slot is doomed first (so a resurrected victim
-    aborts {!Control.Poisoned} instead of installing over a stolen lock)
-    and versioned locks transition to a bumped, "poisoned" version minted
-    above both the observed version and the global clock.
+    observes a {!Vlock} (a tvar's lock or a boosting abstract lock) or the
+    {!Runtime.Serial} token held by an owner whose slot is dead or stale
+    past the lease may steal it: the victim's slot is doomed first (so a
+    resurrected victim aborts {!Control.Poisoned} instead of installing
+    over a stolen lock) and a stolen vlock transitions to a bumped,
+    "poisoned" version minted above both the observed version and the
+    global clock.
 
     Soundness rests on the lease being much longer than any honest
     lock-hold window — see DESIGN.md §5h.  Recovery is inert under the
@@ -39,11 +40,6 @@ val try_steal_vlock : Vlock.t -> bool
     may retry its acquisition or read.  [false]: the owner is live, the
     stamp moved (owner released, or another thief won), or recovery does
     not apply here. *)
-
-val try_steal_owner : holder:int Atomic.t -> pe:int -> bool
-(** Same for an abstract lock represented as an owner cell (-1 = free):
-    dooms the victim, then CASes the cell free on its behalf.  [pe] names
-    the lock in sanitizer events. *)
 
 val check_poisoned : unit -> unit
 (** Abort the current transaction with {!Control.Poisoned} if its registry

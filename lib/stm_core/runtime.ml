@@ -51,7 +51,7 @@ let simulated = ref false
 
 (* Dynamic access tracing.  While the deterministic scheduler runs, every
    shared access performed by the STM machinery (versioned-lock stamps,
-   tvar stores, global-clock reads/ticks, abstract locks) reports itself
+   tvar stores, global-clock reads/ticks) reports itself
    here, giving each scheduling step its exact footprint.  Off by default;
    call sites guard on [tracing] so the hot path pays one load and branch,
    and no allocation, when no scheduler is attached. *)
@@ -67,19 +67,19 @@ let trace_access a = !trace_hook a
    monotonicity without holding references into the lock itself. *)
 type san_event =
   | San_acquire of { pe : int; owner : int; version : int }
-      (** a versioned/abstract lock was taken; [version] is the committed
-          version at acquisition time (0 for abstract locks) *)
+      (** a versioned lock was taken; [version] is the committed
+          version at acquisition time *)
   | San_release of { pe : int; owner : int; version : int option }
       (** a lock was dropped; [Some v] = released to a new version
-          (commit), [None] = restored/abstract (version unchanged) *)
+          (commit), [None] = restored (version unchanged) *)
   | San_unsafe_write of { pe : int; locked_owner : int option }
       (** a non-transactional store; [locked_owner] is the holder of the
           element's lock at the store, if it was held *)
   | San_peek of { pe : int }  (** a non-transactional read *)
   | San_steal of { pe : int; victim : int; version : int option }
       (** recovery reclaimed a lock held by [victim]; [Some v] = a
-          versioned lock stolen to poisoned version [v], [None] = an
-          abstract lock or the serial token *)
+          versioned lock stolen to poisoned version [v], [None] = the
+          serial token *)
 
 let sanitizer = ref false
 let sanitizer_hook : (san_event -> unit) ref = ref (fun _ -> ())

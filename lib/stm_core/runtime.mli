@@ -17,7 +17,7 @@ type access =
   | Pure
   | Read of int
   | Write of int
-  | Lock of int  (** acquisition or release of a versioned/abstract lock:
+  | Lock of int  (** acquisition or release of a versioned lock:
                      treated as a read-modify-write of the element *)
 
 val clock_pe : int
@@ -98,13 +98,14 @@ type san_event =
   | San_acquire of { pe : int; owner : int; version : int }
   | San_release of { pe : int; owner : int; version : int option }
       (** [Some v]: released to a new version (commit install);
-          [None]: restored to the pre-lock stamp, or an abstract lock *)
+          [None]: restored to the pre-lock stamp (an abort, or any
+          release of a boosting abstract lock) *)
   | San_unsafe_write of { pe : int; locked_owner : int option }
   | San_peek of { pe : int }
   | San_steal of { pe : int; victim : int; version : int option }
       (** recovery reclaimed a lock held by [victim]; [Some v]: a
-          versioned lock stolen to poisoned version [v]; [None]: an
-          abstract lock or the serial token *)
+          {!Vlock} (a tvar's lock or a boosting abstract lock) stolen to
+          poisoned version [v]; [None]: the serial token *)
 
 val sanitizer : bool ref
 (** Owned by {!Sanitizer}: set while the sanitizer is enabled.

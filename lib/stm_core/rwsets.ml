@@ -21,80 +21,37 @@ let rentry_valid ~owner (e : rentry) =
     && Vlock.version_of s = Vlock.version_of e.r_seen
 
 module Rset = struct
-  (* [validated_upto] is the incremental-validation watermark: every entry
-     below it passed the last successful validation while the owning
-     transaction's validity interval [rv] was unchanged.  While [rv] stays
-     put, a prefix entry invalidated *after* that validation can only have
-     been overwritten by a commit whose version is > rv (version clocks
-     are monotonic and tick past the value the prefix was validated
-     against), so the values the transaction already returned still form a
-     consistent snapshot at [rv] — re-checking the prefix would only
-     detect doom earlier, never a safety violation.  Hence [validate_new]
-     checks the suffix only; interval extension and commit, where [rv]
-     effectively moves, use the full-scan [validate]. *)
   type t = {
     entries : rentry Vec.t;
-    mutable validated_upto : int;
     mutable last_scan : int;
   }
 
-  let create () =
-    { entries = Vec.create ~dummy:dummy_rentry ();
-      validated_upto = 0;
-      last_scan = 0 }
-
+  let create () = { entries = Vec.create ~dummy:dummy_rentry (); last_scan = 0 }
   let length t = Vec.length t.entries
   let is_empty t = Vec.is_empty t.entries
-  let validated_upto t = t.validated_upto
   let last_scan t = t.last_scan
 
   let clear t =
     Vec.clear t.entries;
-    t.validated_upto <- 0;
     t.last_scan <- 0
 
   let push t e = Vec.push t.entries e
   let iter f t = Vec.iter f t.entries
-
-  (* Appending leaves [dst]'s watermark alone: the new entries land in the
-     unvalidated suffix, exactly where incremental validation looks. *)
   let append_into ~src ~dst = Vec.append_into ~src:src.entries ~dst:dst.entries
 
-  (* Both validation entry points draw from the same injection hook, so
-     chaos runs exercise incremental validation failures too. *)
-  let injected_fail () =
-    !Runtime.fault_injection && Faults.inject_validation_fail ()
-
-  let validate_from t ~owner ~from =
-    let n = Vec.length t.entries in
-    t.last_scan <- n - from;
-    let rec go i =
-      i >= n || (rentry_valid ~owner (Vec.get t.entries i) && go (i + 1))
-    in
-    let ok = go from in
-    if ok then t.validated_upto <- n;
-    ok
-
   let validate t ~owner =
-    if injected_fail () then false else validate_from t ~owner ~from:0
+    if !Runtime.fault_injection && Faults.inject_validation_fail () then false
+    else begin
+      let n = Vec.length t.entries in
+      t.last_scan <- n;
+      let rec go i =
+        i >= n || (rentry_valid ~owner (Vec.get t.entries i) && go (i + 1))
+      in
+      go 0
+    end
 
-  let validate_new t ~owner =
-    if injected_fail () then false
-    else validate_from t ~owner ~from:t.validated_upto
-
-  (* Early release: drop every observation of [pe].  Filtering preserves
-     order, so the surviving prefix of the old validated prefix is still a
-     prefix — the watermark just shrinks by the number of validated
-     entries dropped. *)
-  let filter_pe t ~pe =
-    let wm = t.validated_upto in
-    let dropped_below = ref 0 in
-    for i = 0 to wm - 1 do
-      if (Vec.get t.entries i).r_pe = pe then incr dropped_below
-    done;
-    let dropped = Vec.filter_in_place (fun e -> e.r_pe <> pe) t.entries in
-    t.validated_upto <- wm - !dropped_below;
-    dropped
+  (* Early release: drop every observation of [pe]. *)
+  let filter_pe t ~pe = Vec.filter_in_place (fun e -> e.r_pe <> pe) t.entries
 end
 
 (* A write entry erases the element type of its tvar.  [find] recovers the

@@ -12,12 +12,8 @@ val rentry_valid : owner:int -> rentry -> bool
 (** The entry's stamp is unchanged, or the location is currently
     write-locked by [owner] itself over the observed version. *)
 
-(** A read set is a vector of read entries plus an incremental-validation
-    watermark.  One location may appear several times; validation simply
-    checks every recorded observation.  Entries below the watermark passed
-    the last successful validation; {!validate_new} checks only the suffix
-    appended since, which is sound while the transaction's validity
-    interval ([rv]) is unchanged — see DESIGN.md 5g. *)
+(** A read set is a vector of read entries.  One location may appear
+    several times; validation simply checks every recorded observation. *)
 module Rset : sig
   type t
 
@@ -30,29 +26,18 @@ module Rset : sig
   val iter : (rentry -> unit) -> t -> unit
 
   val append_into : src:t -> dst:t -> unit
-  (** Append [src]'s entries to [dst] (nesting merge).  [dst]'s watermark
-      is unchanged: the new entries land in the unvalidated suffix. *)
+  (** Append [src]'s entries to [dst] (nesting merge). *)
 
   val validate : t -> owner:int -> bool
   (** Full scan: every entry's stamp is unchanged, or the location is
-      write-locked by [owner] itself at the version that was observed.
-      Advances the watermark to the full length on success. *)
-
-  val validate_new : t -> owner:int -> bool
-  (** Like {!validate} but only scans entries at or above the watermark.
-      Only sound while [rv] is unchanged since the last successful
-      validation; use {!validate} for interval extension and commit. *)
-
-  val validated_upto : t -> int
-  (** Current watermark (number of entries covered by the last successful
-      validation). *)
+      write-locked by [owner] itself at the version that was observed. *)
 
   val last_scan : t -> int
   (** Number of entries examined by the most recent validation call. *)
 
   val filter_pe : t -> pe:int -> int
-  (** Drop every observation of [pe] (elastic early release), adjusting the
-      watermark; returns how many entries were dropped. *)
+  (** Drop every observation of [pe] (elastic early release); returns how
+      many entries were dropped. *)
 end
 
 (** {1 Write entries} *)

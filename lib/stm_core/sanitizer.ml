@@ -162,7 +162,7 @@ let on_release ~pe ~owner ~version =
             (Printf.sprintf "released by %d while held by %d" owner e.holder);
         e.holder <- -1;
         (match version with
-        | None -> ()  (* restore/abstract release: version unchanged *)
+        | None -> ()  (* restore: version unchanged *)
         | Some v ->
           if v <= e.last_version then
             record_locked ~kind:Version_regress ~pe ~owner

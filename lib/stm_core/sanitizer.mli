@@ -5,8 +5,8 @@
     {!enable} (and advertised through {!Runtime.sanitizer}), it receives:
 
     - lock-transition, non-transactional-store and peek events from the
-      instrumented {!Vlock}, {!Tvar} and boosting abstract locks (via
-      {!Runtime.sanitizer_event});
+      instrumented {!Vlock} (boosting's abstract locks are vlocks too)
+      and {!Tvar} (via {!Runtime.sanitizer_event});
     - read/commit/lifecycle callbacks from the four engines;
     - an abort audit from {!Retry_loop} around every attempt.
 
@@ -15,7 +15,7 @@
     Violations — states a correct engine and disciplined client code can
     never produce:
 
-    - [Lock_imbalance]: a versioned or abstract lock acquired while held,
+    - [Lock_imbalance]: a versioned lock acquired while held,
       or released while free / by a non-holder;
     - [Version_regress]: a lock's committed version moved backwards
       (acquired below, or unlocked to at-or-below, the highest version the

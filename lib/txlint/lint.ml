@@ -552,37 +552,3 @@ let ml_files_under roots =
     (fun root -> if Sys.file_exists root then walk root)
     roots;
   List.sort compare !acc
-
-(* --- baselines ------------------------------------------------------- *)
-
-(* Baselines identify findings by kind, file and message — not line or
-   column, so unrelated edits above a baselined finding do not make it
-   "new".  The file format is one finding per line, tab-separated;
-   blank lines and [#] comments are skipped. *)
-let finding_key f =
-  Printf.sprintf "%s\t%s\t%s" (kind_name f.kind) f.file f.msg
-
-let parse_baseline text =
-  String.split_on_char '\n' text
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None else Some line)
-
-(* Findings not covered by the baseline (multiset semantics: two
-   identical findings need two baseline lines). *)
-let subtract_baseline ~baseline findings =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun k ->
-      Hashtbl.replace counts k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-    baseline;
-  List.filter
-    (fun f ->
-      let k = finding_key f in
-      match Hashtbl.find_opt counts k with
-      | Some n when n > 0 ->
-        Hashtbl.replace counts k (n - 1);
-        false
-      | _ -> true)
-    findings

@@ -34,8 +34,7 @@
       carries the witness call chain.
     - {b lock-release}: a function that directly calls a lock-acquire
       primitive ([Vlock.try_lock]/[try_lock_save],
-      [Wset.lock_all]/[lock_one], [Abstract_lock.try_acquire],
-      [Serial.enter], [Mutex.lock]) without a [Fun.protect] or a [try]
+      [Wset.lock_all]/[lock_one], [Serial.enter], [Mutex.lock]) without a [Fun.protect] or a [try]
       whose handler releases/undoes/forgets, and without an annotation.
     - {b bad-allow}: a [[@txlint.allow]] attribute that is malformed,
       names an unknown kind, or lacks a reason string.
@@ -117,16 +116,3 @@ val lint_files : string list -> finding list * string list
 val ml_files_under : string list -> string list
 (** Recursively collect [*.ml] files under the given roots, skipping
     [_build], [_opam], [fixtures] and dot-directories; sorted. *)
-
-(** {2 Baselines}
-
-    A baseline is a text file with one finding per line —
-    [kind<TAB>file<TAB>message] — as produced by {!finding_key}.  Lines
-    are position-independent so edits above a baselined finding do not
-    resurface it.  Blank lines and [#] comments are ignored. *)
-
-val finding_key : finding -> string
-val parse_baseline : string -> string list
-
-val subtract_baseline : baseline:string list -> finding list -> finding list
-(** Findings not covered by the baseline (multiset semantics). *)

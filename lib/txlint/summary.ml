@@ -14,8 +14,8 @@
      zombie when called from a transaction body.
    - [swallows_crash]: likewise for the raise-at-point fault exceptions.
    - [acquires_lock]: reaches a lock-acquire primitive
-     ([Vlock.try_lock]/[try_lock_save], [Wset.lock_all]/[lock_one],
-     boosting [Abstract_lock.try_acquire], [Serial.enter],
+     ([Vlock.try_lock]/[try_lock_save], which boosting's abstract
+     locks use too, [Wset.lock_all]/[lock_one], [Serial.enter],
      [Mutex.lock]).
 
    Each present effect carries a witness chain (who was called to reach
@@ -34,7 +34,6 @@ let acquire_primitives =
     [ "Vlock"; "try_lock_save" ];
     [ "Wset"; "lock_all" ];
     [ "Wset"; "lock_one" ];
-    [ "Abstract_lock"; "try_acquire" ];
     [ "Serial"; "enter" ];
     [ "Mutex"; "lock" ];
   ]

@@ -125,20 +125,26 @@ let test_mutual_insert_if_absent () =
   done
 
 let test_abstract_lock_unit () =
-  let l = Boosting.Abstract_lock.create () in
-  Alcotest.(check bool) "acquire free" true
-    (Boosting.Abstract_lock.try_acquire l ~owner:1);
-  Alcotest.(check bool) "reentrant for owner" true
-    (Boosting.Abstract_lock.try_acquire l ~owner:1);
-  Alcotest.(check bool) "other blocked" false
-    (Boosting.Abstract_lock.try_acquire l ~owner:2);
-  Alcotest.(check int) "holder" 1 (Boosting.Abstract_lock.held_by l);
-  Boosting.Abstract_lock.release l ~owner:2;
-  Alcotest.(check int) "release by non-owner ignored" 1
-    (Boosting.Abstract_lock.held_by l);
-  Boosting.Abstract_lock.release l ~owner:1;
-  Alcotest.(check bool) "reacquirable" true
-    (Boosting.Abstract_lock.try_acquire l ~owner:2)
+  let open Stm_core in
+  let l = Boosting.abstract_lock () in
+  Boosting.atomic (fun tx ->
+      Boosting.acquire tx l;
+      let owner = Vlock.holder l in
+      Alcotest.(check bool) "held" true
+        (owner >= 0 && Vlock.locked (Vlock.stamp l));
+      (* Reentrant for the owner, in a nested child too: the stripe is
+         already this transaction's, so neither blocks nor aborts. *)
+      Boosting.acquire tx l;
+      Boosting.atomic (fun child -> Boosting.acquire child l);
+      Alcotest.(check int) "same holder" owner (Vlock.holder l);
+      Alcotest.(check bool) "other owner blocked" false
+        (Vlock.try_lock l ~owner:(owner + 1)));
+  Alcotest.(check int) "released at commit" (-1) (Vlock.holder l);
+  let s = Vlock.stamp l in
+  Alcotest.(check bool) "unlocked" false (Vlock.locked s);
+  Alcotest.(check int) "version restored" 0 (Vlock.version_of s);
+  Alcotest.(check bool) "reacquirable" true (Vlock.try_lock l ~owner:2);
+  Vlock.unlock_restore l
 
 let test_recorded_outheritance () =
   (* Section VIII's claim, closed end to end: a recorded boosted

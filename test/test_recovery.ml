@@ -254,15 +254,14 @@ let test_stolen_install_aborts_poisoned () =
    back, and the retry must commit cleanly. *)
 let test_boosting_poisoned_victim_aborts () =
   with_recovery (fun () ->
-      let lock = Boosting.Abstract_lock.create () in
+      let lock = Boosting.abstract_lock () in
       let attempts = ref 0 in
       let committed =
         Boosting.atomic (fun tx ->
             incr attempts;
             Boosting.acquire tx lock;
             if !attempts = 1 then
-              ignore
-                (Registry.doom ~owner:(Boosting.Abstract_lock.held_by lock));
+              ignore (Registry.doom ~owner:(Vlock.holder lock));
             (* The next operation's acquire (reentrant here) must notice
                the doom instead of keeping to mutate under a stolen
                stripe. *)
@@ -275,7 +274,64 @@ let test_boosting_poisoned_victim_aborts () =
       Alcotest.(check bool) "poisoned abort counted" true
         ((Stats.recovery_counters ()).Stats.poisoned_commits >= 1);
       Alcotest.(check int) "lock released after the retry's commit" (-1)
-        (Boosting.Abstract_lock.held_by lock))
+        (Vlock.holder lock))
+
+module BBase = Seqds.Hash (Seqds.Int_key)
+
+module BSet =
+  Boosting.Boost
+    (struct
+      type elt = int
+      type t = BBase.t
+
+      let create () = BBase.create ()
+      let contains = BBase.contains
+      let add = BBase.add
+      let remove = BBase.remove
+    end)
+    (struct
+      let hash = Seqds.Int_key.hash
+    end)
+
+(* An abstract lock is a vlock, so a boosted stripe orphaned by a crash is
+   reclaimed by the same steal path as a tvar's lock. *)
+let test_boosting_dead_owner_stolen () =
+  Sanitizer.enable ();
+  Sanitizer.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Sanitizer.reset ();
+      if Sys.getenv_opt "TXSAN" = None then Sanitizer.disable ())
+    (fun () ->
+      with_recovery (fun () ->
+          let s = BSet.create ~stripes:1 () in
+          let d =
+            Domain.spawn (fun () ->
+                (try
+                   Boosting.atomic (fun _ ->
+                       ignore (BSet.add s 1);
+                       raise Control.Crashed)
+                 with Control.Crashed -> ())
+                [@txlint.allow "crash-swallowed"
+                    "the test plays the dying domain: the crash must end \
+                     it quietly with the stripe still held"])
+          in
+          Domain.join d;
+          (* The deadline turns a steal regression into a failure, not a
+             hang. *)
+          let saved_timeout = !Runtime.tx_timeout_ns in
+          Runtime.tx_timeout_ns := Some 2_000_000_000;
+          let added =
+            Fun.protect
+              ~finally:(fun () -> Runtime.tx_timeout_ns := saved_timeout)
+              (fun () -> BSet.add s 2)
+          in
+          Alcotest.(check bool) "the dead owner's stripe is stolen" true
+            added;
+          Alcotest.(check int) "one steal" 1
+            (Stats.recovery_counters ()).Stats.orphan_steals;
+          Alcotest.(check int) "sanitizer clean" 0
+            (Sanitizer.violation_count ())))
 
 let test_serial_token_reclaim () =
   with_recovery ~lease_ns:1_000_000 (fun () ->
@@ -433,6 +489,8 @@ let suite =
       test_stolen_install_aborts_poisoned;
     Alcotest.test_case "boosting: poisoned victim aborts" `Quick
       test_boosting_poisoned_victim_aborts;
+    Alcotest.test_case "boosting: dead owner's abstract lock is stolen" `Quick
+      test_boosting_dead_owner_stolen;
     Alcotest.test_case "orphaned serial token is reclaimed" `Quick
       test_serial_token_reclaim;
     Alcotest.test_case "serial reclaim dooms the victim" `Quick

@@ -178,19 +178,12 @@ let test_wset_large_lock_order () =
   Rwsets.Wset.unlock_all_restore ws
 
 (* ------------------------------------------------------------------ *)
-(* Watermarked Rset vs a full-rescan reference. *)
+(* Rset vs a full-rescan reference. *)
 
-let reference_validate_from entries ~owner ~from =
-  List.for_all
-    (Rwsets.rentry_valid ~owner)
-    (List.filteri (fun i _ -> i >= from) entries)
-
-let prop_rset_watermark =
-  (* Random sequence of reads and validations interleaved with foreign
-     commits; [validate] must agree with a full reference scan, and
-     [validate_new] with the reference restricted to the suffix above the
-     watermark. *)
-  QCheck.Test.make ~name:"rset: watermark validation = reference" ~count:200
+let prop_rset_reference =
+  (* Random sequence of reads interleaved with foreign commits; [validate]
+     must agree with a full reference scan after every read. *)
+  QCheck.Test.make ~name:"rset: validation = reference" ~count:200
     QCheck.(list (int_bound 9))
     (fun reads ->
       let tvs = Array.init 10 (fun i -> Tvar.make i) in
@@ -204,7 +197,7 @@ let prop_rset_watermark =
             { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = Tvar.id tv }
           in
           Rwsets.Rset.push rs e;
-          entries := !entries @ [ e ];
+          entries := e :: !entries;
           (* Invalidate every third location behind the set's back. *)
           if i mod 3 = 0 then begin
             let saved = Vlock.try_lock_save tv.Tvar.lock ~owner:999 in
@@ -212,38 +205,9 @@ let prop_rset_watermark =
               (Vlock.unlock_to_from tv.Tvar.lock ~saved
                  ~version:(Vlock.version_of saved + 1))
           end;
-          let wm = Rwsets.Rset.validated_upto rs in
-          let inc = Rwsets.Rset.validate_new rs ~owner:1 in
-          let inc_ref = reference_validate_from !entries ~owner:1 ~from:wm in
-          let full = Rwsets.Rset.validate rs ~owner:1 in
-          let full_ref = reference_validate_from !entries ~owner:1 ~from:0 in
-          inc = inc_ref && full = full_ref
-          && (not full
-             || Rwsets.Rset.validated_upto rs = Rwsets.Rset.length rs))
+          Rwsets.Rset.validate rs ~owner:1
+          = List.for_all (Rwsets.rentry_valid ~owner:1) !entries)
         reads)
-
-let test_rset_suffix_only_semantics () =
-  (* The whole point of the watermark: after a successful full validation,
-     invalidating a prefix entry is invisible to [validate_new] (sound
-     while rv is unchanged — the snapshot it vouches for is unchanged)
-     but caught by the full [validate]. *)
-  let a = Tvar.make 1 and b = Tvar.make 2 in
-  let rs = Rwsets.Rset.create () in
-  push_read rs a;
-  Alcotest.(check bool) "initial validate" true (Rwsets.Rset.validate rs ~owner:1);
-  Alcotest.(check int) "watermark covers a" 1 (Rwsets.Rset.validated_upto rs);
-  (* Foreign commit overwrites a. *)
-  let saved = Vlock.try_lock_save a.Tvar.lock ~owner:9 in
-  ignore (Vlock.unlock_to_from a.Tvar.lock ~saved ~version:5);
-  push_read rs b;
-  Alcotest.(check bool) "suffix-only scan skips stale prefix" true
-    (Rwsets.Rset.validate_new rs ~owner:1);
-  Alcotest.(check int) "suffix scan examined 1 entry" 1
-    (Rwsets.Rset.last_scan rs);
-  Alcotest.(check bool) "full scan catches the stale prefix" false
-    (Rwsets.Rset.validate rs ~owner:1);
-  Alcotest.(check int) "full scan examined everything" 2
-    (Rwsets.Rset.last_scan rs)
 
 let test_rset_filter_pe_watermark () =
   let tvs = Array.init 6 (fun i -> Tvar.make i) in
@@ -256,14 +220,9 @@ let test_rset_filter_pe_watermark () =
   Alcotest.(check bool) "validate" true (Rwsets.Rset.validate rs ~owner:1);
   push_read rs tvs.(3);
   push_read rs tvs.(0);
-  Alcotest.(check int) "watermark before filter" 4
-    (Rwsets.Rset.validated_upto rs);
   let dropped = Rwsets.Rset.filter_pe rs ~pe:(Tvar.id tvs.(0)) in
   Alcotest.(check int) "dropped all three" 3 dropped;
   Alcotest.(check int) "length shrank" 3 (Rwsets.Rset.length rs);
-  (* 2 of the 4 validated entries were dropped: watermark 4 -> 2, which
-     still covers exactly the surviving validated prefix (b, c). *)
-  Alcotest.(check int) "watermark adjusted" 2 (Rwsets.Rset.validated_upto rs);
   Alcotest.(check bool) "survivors still valid" true
     (Rwsets.Rset.validate rs ~owner:1)
 
@@ -274,14 +233,13 @@ let test_rset_clear_resets_watermark () =
   Alcotest.(check bool) "validate" true (Rwsets.Rset.validate rs ~owner:1);
   Rwsets.Rset.clear rs;
   Alcotest.(check int) "length" 0 (Rwsets.Rset.length rs);
-  Alcotest.(check int) "watermark" 0 (Rwsets.Rset.validated_upto rs);
   (* Scratch-style reuse after clear behaves like a fresh set. *)
   push_read rs a;
   Alcotest.(check bool) "reuse validates" true (Rwsets.Rset.validate rs ~owner:1)
 
 (* ------------------------------------------------------------------ *)
-(* Fault-injection coverage: every validation entry point must consult
-   the injector. *)
+(* Fault-injection coverage: [validate], the one validation entry point,
+   must consult the injector. *)
 
 let test_validation_fault_injection () =
   let saved = Faults.current () in
@@ -298,10 +256,8 @@ let test_validation_fault_injection () =
       push_read rs a;
       Alcotest.(check bool) "validate injected" false
         (Rwsets.Rset.validate rs ~owner:1);
-      Alcotest.(check bool) "validate_new injected" false
-        (Rwsets.Rset.validate_new rs ~owner:1);
-      Alcotest.(check bool) "both recorded" true
-        (Faults.count Faults.Validation_fail >= 2))
+      Alcotest.(check bool) "recorded" true
+        (Faults.count Faults.Validation_fail >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* GC regression: a cleared write set must not retain its tvars.  The
@@ -425,8 +381,6 @@ let suite =
       test_read_consistent_aborts_on_lock;
     Alcotest.test_case "wset large set lock order + find after sort" `Quick
       test_wset_large_lock_order;
-    Alcotest.test_case "rset suffix-only semantics" `Quick
-      test_rset_suffix_only_semantics;
     Alcotest.test_case "rset filter_pe adjusts watermark" `Quick
       test_rset_filter_pe_watermark;
     Alcotest.test_case "rset clear resets watermark" `Quick
@@ -441,4 +395,4 @@ let suite =
       test_dpor_naive_agree_counter;
     QCheck_alcotest.to_alcotest prop_wset_last_write_wins;
     QCheck_alcotest.to_alcotest prop_wset_differential;
-    QCheck_alcotest.to_alcotest prop_rset_watermark ]
+    QCheck_alcotest.to_alcotest prop_rset_reference ]

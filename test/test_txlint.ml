@@ -1,6 +1,6 @@
 (* The static STM-discipline lint (lib/txlint), v2: per-site checks,
    the interprocedural pass (index / call graph / effect summaries),
-   attribute suppression, SARIF output and baselines.
+   attribute suppression and SARIF output.
 
    In-memory fixtures go through [Lint.lint_string] (single-unit, the
    v1 analysis mode) or [Lint.analyze] with a trivial [wrapper_of];
@@ -416,35 +416,6 @@ let test_sarif_minimum_schema () =
       | _ -> Alcotest.fail "expected one location")
     | _ -> Alcotest.fail "expected exactly one result")
 
-(* --- baselines -------------------------------------------------------- *)
-
-let test_baseline_roundtrip () =
-  let fs =
-    analyze
-      [ ( "lib/x/mem_base.ml",
-          "let f tv = S.peek tv\nlet g tv = S.unsafe_write tv 1" ) ]
-  in
-  Alcotest.(check int) "two findings" 2 (List.length fs);
-  let baseline_text =
-    "# comment\n\n"
-    ^ String.concat "\n" (List.map Lint.finding_key fs)
-    ^ "\n"
-  in
-  let baseline = Lint.parse_baseline baseline_text in
-  Alcotest.(check int) "comments and blanks skipped" 2
-    (List.length baseline);
-  Alcotest.(check (list findings)) "full baseline suppresses all" []
-    (Lint.subtract_baseline ~baseline fs);
-  (* A partial baseline keeps the novel finding. *)
-  let partial = [ Lint.finding_key (List.hd fs) ] in
-  Alcotest.(check int) "partial baseline keeps the rest" 1
-    (List.length (Lint.subtract_baseline ~baseline:partial fs));
-  (* Keys are line-independent: shifting the finding does not unbaseline
-     it. *)
-  let shifted = { (List.hd fs) with Lint.line = 99 } in
-  Alcotest.(check (list findings)) "baseline survives a line shift" []
-    (Lint.subtract_baseline ~baseline:partial [ shifted ])
-
 (* --- the repo itself -------------------------------------------------- *)
 
 let test_fixture_dirs_skipped () =
@@ -504,7 +475,6 @@ let suite =
       test_fixture_pair_v1_clean_v2_flagged;
     Alcotest.test_case "SARIF minimum schema" `Quick
       test_sarif_minimum_schema;
-    Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
     Alcotest.test_case "fixture dirs skipped" `Quick
       test_fixture_dirs_skipped;
     Alcotest.test_case "repo lints clean" `Quick test_repo_is_clean ]
