@@ -1,11 +1,11 @@
 (** Classic (non-relaxed) software transactional memories — the paper's
-    baselines, sharing one engine parameterised by three published design
-    choices.  See the implementation header for the design discussion.
-
-    All three treat [~mode:Elastic] as [Regular] and nest flatly (a child
-    shares the parent's read and write sets), so they satisfy outheritance
-    — and hence composition — by construction, at the price of detecting
-    every conflict of the composition's whole footprint. *)
+    baselines, as instances of the one tvar engine {!Oestm.Make} that
+    differ in three published design choices (see the implementation
+    header).  They have no elastic window, so [~mode:Elastic] runs
+    [Regular], and they nest flatly (a child runs in the parent's context),
+    so they satisfy outheritance — and hence composition — by
+    construction, at the price of detecting every conflict of the
+    composition's whole footprint. *)
 
 (** TL2 (Dice, Shalev, Shavit — DISC'06): commit-time locking, no interval
     extension, timid contention management. *)

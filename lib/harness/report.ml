@@ -373,8 +373,6 @@ let config_to_json () =
            ("validation_fail", Float c.Stm_core.Faults.validation_fail);
            ("delay", Float c.Stm_core.Faults.delay);
            ("max_delay_spins", Int c.Stm_core.Faults.max_delay_spins);
-           ("crash", Float c.Stm_core.Faults.crash);
-           ("user_raise", Float c.Stm_core.Faults.user_raise);
            ("fsync_fail", Float c.Stm_core.Faults.fsync_fail);
            ("short_write", Float c.Stm_core.Faults.short_write) ]
         @ [ ( "injected",

@@ -1,10 +1,11 @@
 (** The engine attempt skeleton: the transaction lifecycle every engine
     shares, written once.
 
-    The engines differ only in what they track and validate — the elastic
-    window and outheritance of OE-STM, the critical view of View-STM, lock
-    timing and interval extension of TL2/LSA/SwissTM, the abstract locks
-    of boosting.  Everything around that is the same and lives here:
+    The engines differ only in what they track and validate — the tvar
+    engine ({!Oestm.Make}: OE-STM's elastic window and outheritance,
+    View-STM's critical view, the lock timing and interval extension of
+    TL2/LSA/SwissTM, and its versioned commit) and boosting's abstract
+    locks.  Everything around that is the same and lives here:
 
     - the {b top-level bracket} ({!Make}): the retry loop, the per-instance
       current-transaction key (context-switched by the deterministic
@@ -14,29 +15,9 @@
       (abort: restore the locks, roll back);
     - the {b nested bracket} ({!Make}): a child transaction id, its
       recorded begin/commit, and the current-context switch around the
-      engine's merge step;
-    - the {b versioned commit} ({!Versioned}) of the three tvar engines:
-      serial gate, poison check, lock the write set, tick the clock,
-      validate, last poison check, install, stage the durable record.
+      engine's merge step.
 
     DESIGN.md §5k states the ordering contract these brackets keep. *)
-
-(** The escape hatches and tvar constructors of {!Stm_intf.S}, re-exported
-    once for every tvar engine ([include Attempt.Tvars]). *)
-module Tvars = struct
-  let tvar = Tvar.make
-  let peek = Tvar.peek
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let unsafe_write = Tvar.unsafe_write
-  [@@txlint.allow "stm-escape"
-       "re-export of the quiescent escape hatch; callers are linted at \
-        their own sites"]
-
-  let tvar_id = Tvar.id
-end
 
 (** What an engine supplies to the attempt brackets. *)
 module type ENGINE = sig
@@ -189,87 +170,4 @@ end = struct
     match Domain.DLS.get current with
     | Some parent as cur -> nested cur parent mode f
     | None -> Retry_loop.run ~stats:E.stats (fun ~attempt:_ -> attempt mode f)
-end
-
-(** What a tvar engine supplies to the versioned commit. *)
-module type VERSIONED = sig
-  type ctx
-
-  val stats : Stats.t
-  val owner : ctx -> int
-  val wset : ctx -> Rwsets.Wset.t
-  val rec_state : ctx -> Txrec.t option
-
-  val validate : ctx -> bool
-  (** Full read validation of a writing commit, with its locks held and
-      the clock ticked (full scan: the commit decides against the new
-      write version). *)
-
-  val validate_read_only : ctx -> bool
-  (** Whether a commit with an empty write set may succeed. *)
-
-  val iter_reads : ctx -> (Rwsets.rentry -> unit) -> unit
-  (** Every tracked read entry, for the sanitizer's stale-commit check. *)
-
-  val reads : ctx -> int
-  (** Tracked reads at commit, for the read-set-size histogram. *)
-end
-
-(** The versioned commit, then the recorded commit event and the footprint
-    histograms (detailed statistics only); [abort] releases the write
-    set's locks, restoring their stamps; [forget] detaches them, leaving
-    them held. *)
-module Versioned (V : VERSIONED) = struct
-  let commit ctx =
-    Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): while another process
-       holds the fallback token no one else may commit.  Abort rather than
-       block, so any locks this transaction holds are released for the
-       token holder. *)
-    if not (Runtime.Serial.commit_allowed ()) then
-      Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
-    let owner = V.owner ctx and wset = V.wset ctx in
-    if Rwsets.Wset.is_empty wset then begin
-      if not (V.validate_read_only ctx) then
-        Control.abort_tx Control.Validation_failed
-    end
-    else begin
-      if not (Rwsets.Wset.lock_all wset ~owner) then
-        Control.abort_tx Control.Lock_contention;
-      (* The locks are held, so [max_version] is stable: it is the GV5
-         floor keeping write versions strictly above anything already
-         installed at these locations (GV1/GV4 never consult it). *)
-      let wv = Clock.tick ~floor:(fun () -> Rwsets.Wset.max_version wset) () in
-      if not (V.validate ctx) then begin
-        Rwsets.Wset.unlock_all_restore wset;
-        Control.abort_tx Control.Validation_failed
-      end;
-      if !Runtime.sanitizer then
-        Sanitizer.on_commit ~owner ~wv (V.iter_reads ctx);
-      (* Last poison check while the locks are still held: a doomed victim
-         must abort here, before installing over a stolen lock.  (The
-         abort releases cleanly: CAS-based unlocks skip stolen entries.) *)
-      if !Runtime.recovery then begin
-        try Recovery.check_poisoned ()
-        with e ->
-          Rwsets.Wset.unlock_all_restore wset;
-          raise e
-      end;
-      Rwsets.Wset.install_and_unlock wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
-      if !Runtime.durability then
-        Durable.stage ~wv (Rwsets.Wset.capture_durable wset)
-    end;
-    let rec_state = V.rec_state ctx in
-    Txrec.commit_tx rec_state ~tx:owner;
-    Txrec.release_remaining rec_state;
-    if Stats.detailed_enabled () then
-      Stats.record_rwset_sizes V.stats ~reads:(V.reads ctx)
-        ~writes:(Rwsets.Wset.size wset)
-
-  let abort ctx = Rwsets.Wset.unlock_all_restore (V.wset ctx)
-  let forget ctx = Rwsets.Wset.forget_locks (V.wset ctx)
 end

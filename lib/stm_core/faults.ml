@@ -22,22 +22,19 @@ type config = {
   validation_fail : float;  (* per read-set validation *)
   delay : float;            (* per scheduling point *)
   max_delay_spins : int;
-  crash : float;            (* simulated domain crash, per scheduling point *)
-  user_raise : float;       (* foreign exception, per scheduling point *)
   fsync_fail : float;       (* per WAL fsync: report failure, skip the sync *)
   short_write : float;      (* per WAL flush: write a prefix, poison the log *)
 }
 
 let default =
   { seed = 1; spurious_abort = 0.0; lock_fail = 0.0; validation_fail = 0.0;
-    delay = 0.0; max_delay_spins = 64; crash = 0.0; user_raise = 0.0;
-    fsync_fail = 0.0; short_write = 0.0 }
+    delay = 0.0; max_delay_spins = 64; fsync_fail = 0.0; short_write = 0.0 }
 
 let to_string c =
   Printf.sprintf
-    "seed=%d,abort=%g,lock=%g,validate=%g,delay=%g,spins=%d,crash=%g,raise=%g,fsync=%g,shortw=%g"
+    "seed=%d,abort=%g,lock=%g,validate=%g,delay=%g,spins=%d,fsync=%g,shortw=%g"
     c.seed c.spurious_abort c.lock_fail c.validation_fail c.delay
-    c.max_delay_spins c.crash c.user_raise c.fsync_fail c.short_write
+    c.max_delay_spins c.fsync_fail c.short_write
 
 let parse s =
   let rate k v =
@@ -68,8 +65,6 @@ let parse s =
           | "validate" -> { c with validation_fail = rate k v }
           | "delay" -> { c with delay = rate k v }
           | "spins" -> { c with max_delay_spins = int_field k v }
-          | "crash" -> { c with crash = rate k v }
-          | "raise" -> { c with user_raise = rate k v }
           | "fsync" -> { c with fsync_fail = rate k v }
           | "shortw" -> { c with short_write = rate k v }
           | _ -> invalid_arg ("Faults.parse: unknown key " ^ k)))
@@ -214,14 +209,6 @@ let point () =
       if hit c.spurious_abort then begin
         record Spurious_abort;
         Control.abort_tx Control.Injected
-      end;
-      if hit c.user_raise then begin
-        record User_raise;
-        raise Injected_failure
-      end;
-      if hit c.crash then begin
-        record Crash_domain;
-        raise Control.Crashed
       end
     end
 

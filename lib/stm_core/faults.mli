@@ -20,12 +20,6 @@ type config = {
   validation_fail : float;  (** failure probability per read-set validation *)
   delay : float;            (** delay probability per scheduling point *)
   max_delay_spins : int;    (** upper bound on one injected delay *)
-  crash : float;  (** simulated domain-crash probability per scheduling
-                      point: raises {!Control.Crashed}, which engines
-                      propagate {e without} releasing locks *)
-  user_raise : float;  (** foreign-exception probability per scheduling
-                           point: raises {!Injected_failure}, which engines
-                           must clean up after like any user exception *)
   fsync_fail : float;  (** per WAL fsync: the sync reports failure and is
                            skipped, so acknowledged durability lags — the
                            records remain buffered for the next sync *)
@@ -39,7 +33,7 @@ val default : config
 (** Seed 1, all rates zero, 64 max delay spins. *)
 
 val parse : string -> config
-(** Parse a CLI spec like ["seed=7,abort=0.01,lock=0.05,validate=0.05,delay=0.01,spins=64,crash=0.001,raise=0.01"].
+(** Parse a CLI spec like ["seed=7,abort=0.01,lock=0.05,validate=0.05,delay=0.01,spins=64"].
     Unmentioned fields keep their {!default}.  Raises [Invalid_argument] on
     unknown keys or rates outside [0, 1]. *)
 

@@ -3,14 +3,14 @@
     [mode] selects the transactional model of one [atomic] block, following
     the elastic-transaction API of Felber et al. (DISC'09): [Elastic]
     transactions may ignore conflicts on their read-only prefix, [Regular]
-    transactions detect every conflict.  Classic STMs (TL2, LSA, SwissTM)
-    treat [Elastic] as [Regular].
+    transactions detect every conflict.  Instances without an elastic
+    window (TL2, LSA, SwissTM, View-STM) treat [Elastic] as [Regular].
 
     Nested [atomic] calls compose: calling [atomic] while a transaction is
     already running on the current (logical) process creates a child
     transaction.  Whether the child passes its conflict information to the
     parent on commit — the paper's {e outheritance} — is a property of each
-    implementation (see {!Oestm}). *)
+    implementation (the [nesting] of the tvar engine, [Oestm.Make]). *)
 
 type mode = Regular | Elastic
 

@@ -30,10 +30,12 @@ let push t v =
 
 (* Freed slots are wiped to the dummy so a cleared set stops pinning its
    elements (tvars, pending values) for the GC; the backing store itself
-   is kept for reuse. *)
+   is kept for reuse.  An empty vector skips the fill, a C call. *)
 let clear t =
-  Array.fill t.data 0 t.len t.dummy;
-  t.len <- 0
+  if t.len > 0 then begin
+    Array.fill t.data 0 t.len t.dummy;
+    t.len <- 0
+  end
 
 let iter f t =
   for i = 0 to t.len - 1 do

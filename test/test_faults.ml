@@ -20,8 +20,7 @@ let test_parse_roundtrip () =
   let c =
     { Faults.seed = 42; spurious_abort = 0.25; lock_fail = 0.5;
       validation_fail = 0.125; delay = 0.0625; max_delay_spins = 32;
-      crash = 0.01; user_raise = 0.02; fsync_fail = 0.015;
-      short_write = 0.005 }
+      fsync_fail = 0.015; short_write = 0.005 }
   in
   Alcotest.(check bool) "parse inverts to_string" true
     (Faults.parse (Faults.to_string c) = c);

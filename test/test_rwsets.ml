@@ -209,7 +209,7 @@ let prop_rset_reference =
           = List.for_all (Rwsets.rentry_valid ~owner:1) !entries)
         reads)
 
-let test_rset_filter_pe_watermark () =
+let test_rset_filter_pe_drops_pe () =
   let tvs = Array.init 6 (fun i -> Tvar.make i) in
   let rs = Rwsets.Rset.create () in
   (* Entries: a b a c (a = tvs.(0)), validate all, then append d a. *)
@@ -226,7 +226,7 @@ let test_rset_filter_pe_watermark () =
   Alcotest.(check bool) "survivors still valid" true
     (Rwsets.Rset.validate rs ~owner:1)
 
-let test_rset_clear_resets_watermark () =
+let test_rset_clear_for_reuse () =
   let a = Tvar.make 1 in
   let rs = Rwsets.Rset.create () in
   push_read rs a;
@@ -381,10 +381,10 @@ let suite =
       test_read_consistent_aborts_on_lock;
     Alcotest.test_case "wset large set lock order + find after sort" `Quick
       test_wset_large_lock_order;
-    Alcotest.test_case "rset filter_pe adjusts watermark" `Quick
-      test_rset_filter_pe_watermark;
-    Alcotest.test_case "rset clear resets watermark" `Quick
-      test_rset_clear_resets_watermark;
+    Alcotest.test_case "rset filter_pe drops one pe" `Quick
+      test_rset_filter_pe_drops_pe;
+    Alcotest.test_case "rset clear empties for reuse" `Quick
+      test_rset_clear_for_reuse;
     Alcotest.test_case "validation fault injection covers all entry points"
       `Quick test_validation_fault_injection;
     Alcotest.test_case "cleared wset releases tvar (gc)" `Quick

@@ -242,8 +242,66 @@ module Swiss_battery = Battery (Classic_stm.Swisstm)
 module Oe_battery = Battery (Oestm.Oe)
 module Ebroken_battery = Battery (Oestm.E_broken)
 
+(* The policy table of the seven tvar instances, one row each: whether the
+   first write takes the tvar's lock at once (eager locking), and whether a
+   read of a version committed after the transaction began extends the
+   snapshot (one attempt) or aborts with [Read_too_new] (TL2). *)
+module type TVAR_STM = Stm_intf.S with type 'a tvar = 'a Tvar.t
+
+let policy_rows : ((module TVAR_STM) * bool * bool) list =
+  (* (instance, eager lock, extends on a too-new read) *)
+  [ ((module Classic_stm.Tl2), false, false);
+    ((module Classic_stm.Lsa), true, true);
+    ((module Classic_stm.Swisstm), true, true);
+    ((module Oestm.Oe), false, true);
+    ((module Oestm.E_broken), false, true);
+    ((module Oestm.Oe_window1), false, true);
+    ((module Oestm.View), false, true) ]
+
+let too_new_aborts (module S : TVAR_STM) =
+  Option.value ~default:0
+    (List.assoc_opt Control.Read_too_new
+       (Stats.snapshot S.stats).Stats.by_reason)
+
+let test_policy_table () =
+  List.iter
+    (fun ((module S : TVAR_STM) as stm, eager, extends) ->
+      let tv = S.tvar 0 in
+      let held =
+        S.atomic (fun ctx ->
+            S.write ctx tv 1;
+            Vlock.locked (Vlock.stamp tv.Tvar.lock))
+      in
+      Alcotest.(check bool) (S.name ^ ": lock held after first write") eager
+        held;
+      (* Another engine commits a write to [tv] inside the transaction's
+         first attempt, before the transaction reads it. *)
+      let (module W : TVAR_STM) =
+        if S.name = Oestm.Oe.name then (module Classic_stm.Tl2 : TVAR_STM)
+        else (module Oestm.Oe)
+      in
+      let attempts = ref 0 in
+      let aborts0 = too_new_aborts stm in
+      let seen =
+        S.atomic (fun ctx ->
+            incr attempts;
+            if !attempts = 1 then W.atomic (fun c -> W.write c tv 2);
+            S.read ctx tv)
+      in
+      Alcotest.(check int) (S.name ^ ": reads the foreign commit") 2 seen;
+      if extends then
+        Alcotest.(check int) (S.name ^ ": commits in one attempt") 1 !attempts
+      else
+        Alcotest.(check bool)
+          (S.name ^ ": aborts on the too-new read") true
+          (too_new_aborts stm > aborts0 && !attempts >= 2))
+    policy_rows
+
 let suites =
-  [ ("stm:TL2", Tl2_battery.suite);
+  [ ("stm:policy",
+     [ Alcotest.test_case "policy table of the seven tvar instances" `Quick
+         test_policy_table ]);
+    ("stm:TL2", Tl2_battery.suite);
     ("stm:LSA", Lsa_battery.suite);
     ("stm:SwissTM", Swiss_battery.suite);
     ("stm:OE-STM", Oe_battery.suite);
