@@ -4,7 +4,6 @@
      dune exec bin/txlint.exe -- [OPTIONS] [PATH ...]
 
    Options:
-     --json                 findings as a JSON array on stdout
      --sarif FILE           also write a SARIF 2.1.0 log to FILE
 
    Paths default to lib, bin, examples and test; directories are walked
@@ -18,7 +17,7 @@ let default_roots = [ "lib"; "bin"; "examples"; "test" ]
 
 let usage () =
   prerr_endline
-    "usage: txlint [--json] [--sarif FILE] [PATH ...]";
+    "usage: txlint [--sarif FILE] [PATH ...]";
   exit 2
 
 let write_file file text =
@@ -29,7 +28,6 @@ let write_file file text =
     exit 2
 
 let () =
-  let json = ref false in
   let sarif = ref None in
   let paths = ref [] in
   let argv = Sys.argv and n = Array.length Sys.argv in
@@ -44,7 +42,6 @@ let () =
   in
   while !i < n do
     (match argv.(!i) with
-    | "--json" -> json := true
     | "--sarif" -> sarif := Some (next_arg "--sarif")
     | "--help" | "-h" -> usage ()
     | arg when String.length arg > 0 && arg.[0] = '-' ->
@@ -70,18 +67,7 @@ let () =
   (match !sarif with
   | Some file -> write_file file (Sarif.to_string findings)
   | None -> ());
-  if !json then begin
-    print_string "[";
-    List.iteri
-      (fun i f ->
-        if i > 0 then print_string ",";
-        print_string "\n  ";
-        print_string (Lint.finding_to_json f))
-      findings;
-    if findings <> [] then print_newline ();
-    print_endline "]"
-  end
-  else List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
+  List.iter (fun f -> Format.printf "%a@." Lint.pp_finding f) findings;
   List.iter (Printf.eprintf "txlint: %s\n") errors;
   if errors <> [] then exit 2
   else if findings <> [] then begin

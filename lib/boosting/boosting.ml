@@ -36,7 +36,6 @@ type tx = {
   root_id : int;
   mutable locks : (Vlock.t * int) list;  (* acquired, with pre-lock stamps *)
   mutable undo : (unit -> unit) list;    (* inverses, newest first *)
-  mutable durable : (int * string) list; (* WAL payloads, newest first *)
   rec_state : Txrec.t option;            (* event recording, when enabled *)
 }
 
@@ -110,25 +109,6 @@ let acquire tx lock =
 (** Record the inverse of an operation about to be applied. *)
 let log_undo tx inverse = tx.undo <- inverse :: tx.undo
 
-(* Boosting has no versioned write set to serialize, so durable state
-   flows through an explicit op log: operations on a persistent boosted
-   structure record (persistent id, payload) pairs, and the root commit
-   stages them as one WAL record.  Replay goes through the function
-   registered with [Persist.register_replayer] for that id.
-
-   The record's commit version must order dependent boosting commits
-   even under GV5 (where commits never advance the clock): a dedicated
-   monotone floor makes every durable boosting wv strictly larger than
-   the previous one. *)
-let log_durable tx ~id payload = tx.durable <- (id, payload) :: tx.durable
-
-let durable_floor = Padding.atomic 0
-
-let rec bump_durable_floor v =
-  let cur = Atomic.get durable_floor in
-  if v > cur && not (Atomic.compare_and_set durable_floor cur v) then
-    bump_durable_floor v
-
 let release_all tx =
   (* CAS-based: a lock recovery stole is the thief's now, and stays. *)
   List.iter
@@ -149,7 +129,7 @@ module A = Attempt.Make (struct
   let clear_scratch () = ()
 
   let start () _ ~owner ~rec_state =
-    { root_id = owner; locks = []; undo = []; durable = []; rec_state }
+    { root_id = owner; locks = []; undo = []; rec_state }
 
   let commit tx =
     (* Commit gate: a victim whose stripe was stolen must not commit — the
@@ -160,24 +140,13 @@ module A = Attempt.Make (struct
     (* Changes are already applied to the base objects: drop the undo log
        and release the locks. *)
     tx.undo <- [];
-    if !Runtime.durability && tx.durable <> [] then begin
-      (* Mint the WAL record's version while the abstract locks are still
-         held: any dependent boosting commit acquires one of them
-         afterwards and so observes the bumped floor, keeping replay order
-         consistent with real order. *)
-      let wv = Clock.tick ~floor:(fun () -> Atomic.get durable_floor) () in
-      bump_durable_floor wv;
-      Durable.stage ~wv (List.rev tx.durable);
-      tx.durable <- []
-    end;
     Txrec.commit_tx tx.rec_state ~tx:tx.root_id;
     release_all tx;
     Txrec.release_remaining tx.rec_state
 
   let abort tx =
     rollback tx;
-    release_all tx;
-    tx.durable <- []
+    release_all tx
 
   (* No rollback and no release: the orphaned abstract locks are
      recovery's to reclaim.  The crashed transaction's undo log dies with
@@ -186,8 +155,7 @@ module A = Attempt.Make (struct
      limitation). *)
   let forget tx =
     tx.locks <- [];
-    tx.undo <- [];
-    tx.durable <- []
+    tx.undo <- []
 
   let rec_state tx = tx.rec_state
   let tx_id tx = tx.root_id

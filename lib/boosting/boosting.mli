@@ -6,7 +6,11 @@
     released.  Nested [atomic] blocks share the root's lock table and
     undo log, so a child's abstract locks are held until the {e root}
     commits — outheritance, and with it composition, by construction
-    (Section VIII of the paper). *)
+    (Section VIII of the paper).
+
+    Boosting takes no part in durability: a boosted commit appends no
+    write-ahead-log record, and a crash loses its undo log (DESIGN.md
+    5h). *)
 
 exception Too_many_retries of string
 (** Alias of {!Stm_core.Control.Starvation}: raised when the retry cap is
@@ -36,16 +40,6 @@ val acquire : tx -> Stm_core.Vlock.t -> unit
 
 val log_undo : tx -> (unit -> unit) -> unit
 (** Record the inverse of an operation about to be applied. *)
-
-val log_durable : tx -> id:int -> string -> unit
-(** Record a durable payload for this transaction's write-ahead-log
-    record (boosting has no versioned write set, so durable state flows
-    through an explicit op log).  All payloads logged by the root and its
-    nested children are staged as one record, with a commit version
-    minted while the abstract locks are still held, when — and only when
-    — the root commits under [Persist.enable].  Replay on recovery goes
-    through the function registered with [Persist.register_replayer] for
-    [id], in commit-version order. *)
 
 val atomic : (tx -> 'a) -> 'a
 (** Run a boosted transaction to successful commit.  Nested calls share

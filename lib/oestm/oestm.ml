@@ -174,10 +174,15 @@ end = struct
         + Rwsets.Rset.last_scan ctx.rset_prot);
     ok
 
-  (* A too-new read: slide the snapshot forward if the whole transaction
-     still validates, or abort (always, without [C.extend_on_read]). *)
-  let extend_or_abort ctx =
+  (* A too-new read of version [seen]: slide the snapshot forward if the
+     whole transaction still validates, or abort (always, without
+     [C.extend_on_read]).  Under GV5 a commit installs [clock + 2] without
+     moving the clock, so [now] alone could stay below [seen] and every
+     later read of such a version would validate again; catching the clock
+     up to [seen] first makes one extension cover them all. *)
+  let extend_or_abort ctx ~seen =
     if not C.extend_on_read then Control.abort_tx Control.Read_too_new;
+    if !Runtime.clock_policy == Runtime.GV5 then Clock.catch_up seen;
     let now = Clock.now () in
     if validate ctx then ctx.root.rv <- now
     else Control.abort_tx Control.Read_too_new
@@ -224,7 +229,8 @@ end = struct
         ctx.w0 <- Some entry
       end
       else begin
-        if Vlock.version_of s > root.rv then extend_or_abort ctx;
+        let seen = Vlock.version_of s in
+        if seen > root.rv then extend_or_abort ctx ~seen;
         Txrec.acquire root.rec_state ~pe;
         Rwsets.Rset.push ctx.rset_snap entry
       end;

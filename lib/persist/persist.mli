@@ -1,5 +1,5 @@
-(** Durable commits: a write-ahead log for committed top-level
-    transactions, crash-restart recovery, and log compaction.
+(** Durable commits: an append-and-redo write-ahead log for committed
+    top-level transactions, and crash-restart recovery.
 
     A {!Ptvar.t} wraps a {!Stm_core.Tvar.t} with a stable persistent id
     and a {!Codec}.  While {!enable} has a log open, every committed
@@ -7,10 +7,12 @@
     CRC32-framed record [{wv, [(id, bytes)]}] — fired by the engines'
     post-install hook in [Retry_loop], so a record always describes a
     transaction that definitively happened.  Group commit batches fsyncs
-    ({!enable}'s [sync_every] / [sync_ns]); the acknowledged-durable
-    boundary is {!acked_records}.  On restart, {!recover} scans the log,
-    truncates a torn tail at the first bad CRC and replays records in
-    commit-version order into the registered ptvars.
+    ({!enable}'s [sync_every]); the acknowledged-durable boundary is
+    {!acked_records}.  On restart, {!recover} scans the log, truncates a
+    torn tail at the first bad CRC and replays records in commit-version
+    order into the registered ptvars.  The log holds update records only:
+    nothing compacts or rewrites it.  Boosted transactions do not take
+    part (DESIGN.md 5h).
 
     What durability does {e not} promise under [sync_every > 1]: a
     commit's record may still sit in the user-space buffer (or the OS
@@ -30,10 +32,6 @@ module Codec : sig
 
   val string : string t
   (** Identity. *)
-
-  val marshal : unit -> 'a t
-  (** [Marshal]-based catch-all — same-program use only (the bytes are
-      not stable across compiler versions or type changes). *)
 end
 
 (** Transactional variables with a durable identity. *)
@@ -57,24 +55,14 @@ module Ptvar : sig
   (** Committed value (non-transactional peek). *)
 end
 
-val register_replayer :
-  pid:int -> ?snapshot:(unit -> int * string) -> (string -> unit) -> unit
-(** Register a plain replay function under a persistent id — the hook for
-    durable structures that are not single tvars (e.g. boosted
-    containers logging [Boosting.log_durable] entries).  [snapshot], if
-    given, returns the committed [(version, bytes)] for checkpointing;
-    without it the id's update records are carried forward verbatim at
-    every {!checkpoint}.  Raises [Invalid_argument] if [pid] is taken. *)
-
 (** {1 The live log} *)
 
-val enable : ?sync_every:int -> ?sync_ns:int -> path:string -> unit -> unit
+val enable : ?sync_every:int -> path:string -> unit -> unit
 (** Open (or append to) the WAL at [path], install the commit hook and
     set [Runtime.durability].  [sync_every] (default 1): fsync once this
     many records are pending — 1 is ack-before-return full durability;
-    [<= 0] is the negative-control mode that never fsyncs.  [sync_ns]
-    (default 0 = off): also fsync when this much time has passed since
-    the last sync.  Raises [Invalid_argument] if already enabled. *)
+    [<= 0] is the negative-control mode that never fsyncs.  Raises
+    [Invalid_argument] if already enabled. *)
 
 val disable : unit -> unit
 (** Flush, close and uninstall.  No-op when not enabled. *)
@@ -102,34 +90,21 @@ val acked_wv : unit -> int
 (** {1 Recovery} *)
 
 type summary = {
-  records_intact : int;  (** intact records in the log, all types *)
   updates_intact : int;  (** intact update records (prefix durability) *)
   entries_applied : int;
-  entries_skipped : int;
-      (** unknown persistent id, or already covered by the checkpoint *)
+  entries_skipped : int;  (** unknown persistent id *)
   torn_bytes : int;  (** bytes past the last intact record *)
   truncated : bool;  (** a torn tail was cut off *)
   max_wv : int;  (** highest replayed commit version (clock catch-up) *)
-  checkpointed : bool;  (** the log carried a checkpoint *)
 }
 
 val recover : ?truncate:bool -> path:string -> unit -> summary
 (** Scan the log at [path], drop the torn tail (truncating the file
-    unless [truncate:false]), seed state from the last checkpoint and
-    replay update records in ascending commit version into the
-    registered ptvars/replayers, then fence the global clock above the
-    highest replayed version.  A missing file is an empty log.  Call
+    unless [truncate:false]), replay update records in ascending commit
+    version into the registered ptvars, then fence the global clock above
+    the highest replayed version.  A missing file is an empty log.  Call
     with no transactions live and the log not {!enable}d (raises
     [Invalid_argument] otherwise). *)
-
-val checkpoint : unit -> unit
-(** Snapshot every snapshot-capable registered id and atomically rewrite
-    the log as one checkpoint record (plus carried-forward records of
-    plain replayers): rename(2) is the commit point, so a crash leaves
-    either the old or the new log, never a mix.  Safe under concurrent
-    commits — the append mutex orders every record against the snapshot,
-    and replay skips updates the checkpoint already covers by version.
-    Raises [Invalid_argument] when disabled. *)
 
 (** {1 Test / restart isolation} *)
 

@@ -8,17 +8,17 @@
              payload
 
    payload:
-     1 byte    record type: 1 = update, 2 = checkpoint
+     1 byte    record type: 1 = update (the only type)
      8 bytes   commit version wv (u64 LE)
      4 bytes   entry count (u32 LE)
-     entries   update:     { pid u32 | len u32 | bytes }
-               checkpoint: { pid u32 | version u64 | len u32 | bytes }
+     entries   { pid u32 | len u32 | bytes }
 
    The CRC covers the length prefix, so a bit flip in the length cannot
    silently re-frame the stream; the payload decoder is additionally
    strict (known type byte, entries consume the payload exactly), so even
    a 2^-32 CRC collision cannot replay garbage — it degrades to a torn
-   tail.
+   tail.  Any other type byte is undecodable too: a log written by an
+   older build that still holds a type-2 (checkpoint) frame is cut there.
 
    Group commit: [append] is one buffer enqueue; the buffer is written
    and fsynced once [sync_every] records are pending (or [sync_ns] has
@@ -52,10 +52,8 @@ let chunk = 512
 type record =
   | Update of { wv : int; entries : (int * string) list }
       (** one committed write set: (persistent id, serialized value) *)
-  | Checkpoint of { wv : int; entries : (int * int * string) list }
-      (** full snapshot: (persistent id, committed version, value) *)
 
-let record_wv = function Update { wv; _ } | Checkpoint { wv; _ } -> wv
+let record_wv (Update { wv; _ }) = wv
 
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
@@ -63,30 +61,17 @@ let record_wv = function Update { wv; _ } | Checkpoint { wv; _ } -> wv
 let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n)
 let add_u64 b n = Buffer.add_int64_le b (Int64.of_int n)
 
-let encode_payload r =
+let encode_payload (Update { wv; entries }) =
   let b = Buffer.create 64 in
-  (match r with
-  | Update { wv; entries } ->
-    Buffer.add_char b '\001';
-    add_u64 b wv;
-    add_u32 b (List.length entries);
-    List.iter
-      (fun (pid, bytes) ->
-        add_u32 b pid;
-        add_u32 b (String.length bytes);
-        Buffer.add_string b bytes)
-      entries
-  | Checkpoint { wv; entries } ->
-    Buffer.add_char b '\002';
-    add_u64 b wv;
-    add_u32 b (List.length entries);
-    List.iter
-      (fun (pid, version, bytes) ->
-        add_u32 b pid;
-        add_u64 b version;
-        add_u32 b (String.length bytes);
-        Buffer.add_string b bytes)
-      entries);
+  Buffer.add_char b '\001';
+  add_u64 b wv;
+  add_u32 b (List.length entries);
+  List.iter
+    (fun (pid, bytes) ->
+      add_u32 b pid;
+      add_u32 b (String.length bytes);
+      Buffer.add_string b bytes)
+    entries;
   Buffer.contents b
 
 let add_frame buf payload =
@@ -113,52 +98,26 @@ let get_u64 s pos = Int64.to_int (String.get_int64_le s pos)
 let decode_payload s ~pos ~len =
   let fin = pos + len in
   let entry_count = get_u32 s (pos + 9) in
-  if entry_count < 0 || entry_count > len then None
-  else
-    match s.[pos] with
-    | '\001' ->
-      let wv = get_u64 s (pos + 1) in
-      if wv < 0 then None
-      else begin
-        let p = ref (pos + 13) in
-        let acc = ref [] in
-        let ok = ref true in
-        (try
-           for _ = 1 to entry_count do
-             if !p + 8 > fin then raise Exit;
-             let pid = get_u32 s !p in
-             let blen = get_u32 s (!p + 4) in
-             if pid < 0 || blen < 0 || !p + 8 + blen > fin then raise Exit;
-             acc := (pid, String.sub s (!p + 8) blen) :: !acc;
-             p := !p + 8 + blen
-           done
-         with Exit -> ok := false);
-        if !ok && !p = fin then Some (Update { wv; entries = List.rev !acc })
-        else None
-      end
-    | '\002' ->
-      let wv = get_u64 s (pos + 1) in
-      if wv < 0 then None
-      else begin
-        let p = ref (pos + 13) in
-        let acc = ref [] in
-        let ok = ref true in
-        (try
-           for _ = 1 to entry_count do
-             if !p + 16 > fin then raise Exit;
-             let pid = get_u32 s !p in
-             let version = get_u64 s (!p + 4) in
-             let blen = get_u32 s (!p + 12) in
-             if pid < 0 || version < 0 || blen < 0 || !p + 16 + blen > fin
-             then raise Exit;
-             acc := (pid, version, String.sub s (!p + 16) blen) :: !acc;
-             p := !p + 16 + blen
-           done
-         with Exit -> ok := false);
-        if !ok && !p = fin then Some (Checkpoint { wv; entries = List.rev !acc })
-        else None
-      end
-    | _ -> None
+  let wv = get_u64 s (pos + 1) in
+  if s.[pos] <> '\001' || wv < 0 || entry_count < 0 || entry_count > len
+  then None
+  else begin
+    let p = ref (pos + 13) in
+    let acc = ref [] in
+    let ok = ref true in
+    (try
+       for _ = 1 to entry_count do
+         if !p + 8 > fin then raise Exit;
+         let pid = get_u32 s !p in
+         let blen = get_u32 s (!p + 4) in
+         if pid < 0 || blen < 0 || !p + 8 + blen > fin then raise Exit;
+         acc := (pid, String.sub s (!p + 8) blen) :: !acc;
+         p := !p + 8 + blen
+       done
+     with Exit -> ok := false);
+    if !ok && !p = fin then Some (Update { wv; entries = List.rev !acc })
+    else None
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -226,12 +185,12 @@ let truncate_tail path ~good_end =
 
 type t = {
   path : string;
-  mutable fd : Unix.file_descr;
+  fd : Unix.file_descr;
   mu : Mutex.t;
   buf : Buffer.t;  (* framed records not yet handed to write(2) *)
   mutable buf_records : int;
   mutable buf_wv : int;  (* max wv among buffered records *)
-  mutable appended_records : int;  (* total enqueued since open/rotate *)
+  mutable appended_records : int;  (* total enqueued since open *)
   mutable written_records : int;  (* handed to the OS *)
   mutable written_wv : int;
   mutable synced_records : int;  (* covered by a completed fsync *)
@@ -335,61 +294,6 @@ let close t =
   locked t (fun () ->
       flush_locked t ~sync:(t.sync_every > 0);
       try Unix.close t.fd with Unix.Unix_error _ -> ())
-
-(* Atomic log rotation (checkpoint + compaction).  Under the append
-   mutex: drain the buffer into the old file, hand its intact records to
-   [build] (which returns the new file's contents, typically a checkpoint
-   record plus whatever must be carried forward), write them to a
-   sibling temp file, fsync it, rename over the log and fsync the
-   directory.  A crash at any point leaves either the complete old log
-   or the complete new one — rename(2) is the commit point. *)
-let rotate t ~build =
-  locked t (fun () ->
-      flush_locked t ~sync:false;
-      if not t.broken then begin
-        let old = scan t.path in
-        let records = build (List.map snd old.s_records) in
-        let tmp = t.path ^ ".ckpt" in
-        let tfd =
-          Unix.openfile tmp
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-            0o644
-        in
-        let b = Buffer.create 4096 in
-        Buffer.add_string b magic;
-        List.iter (fun r -> add_frame b (encode_payload r)) records;
-        let data = Buffer.contents b in
-        (try
-           write_all tfd data 0 (String.length data);
-           Unix.fsync tfd;
-           Unix.close tfd;
-           Unix.rename tmp t.path;
-           (* Persist the rename itself. *)
-           (try
-              let dfd =
-                Unix.openfile (Filename.dirname t.path) [ Unix.O_RDONLY ] 0
-              in
-              (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-              Unix.close dfd
-            with Unix.Unix_error _ -> ());
-           let nfd =
-             Unix.openfile t.path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644
-           in
-           let ofd = t.fd in
-           t.fd <- nfd;
-           (try Unix.close ofd with Unix.Unix_error _ -> ());
-           let n = List.length records in
-           let wv = List.fold_left (fun a r -> max a (record_wv r)) 0 records in
-           t.appended_records <- n;
-           t.written_records <- n;
-           t.written_wv <- wv;
-           t.synced_records <- n;
-           t.synced_wv <- wv;
-           Buffer.clear t.buf;
-           t.buf_records <- 0;
-           t.buf_wv <- 0
-         with Unix.Unix_error _ | Sys_error _ -> t.broken <- true)
-      end)
 
 let path t = t.path
 let sync_every t = t.sync_every

@@ -1,10 +1,14 @@
-(** The write-ahead log file: CRC32-framed records with group commit.
+(** The write-ahead log file: CRC32-framed update records with group
+    commit.  The log is append-and-redo only: every frame is one
+    committed write set, and nothing rewrites the file but the torn-tail
+    truncation.
 
     Format: an 8-byte magic, then frames of
     [length (u32 LE) | CRC-32 over (length bytes ++ payload) | payload].
     The scanner stops at the first frame that fails the CRC or the strict
-    payload decode — a torn tail — and reports the offset where the
-    intact prefix ends, so recovery can truncate it.
+    payload decode — a torn tail, or a record type this build does not
+    know — and reports the offset where the intact prefix ends, so
+    recovery can truncate it.
 
     [append] is one buffer enqueue; the buffer is written and fsynced
     once [sync_every] records are pending or [sync_ns] has elapsed since
@@ -19,8 +23,6 @@
 type record =
   | Update of { wv : int; entries : (int * string) list }
       (** one committed write set: (persistent id, serialized value) *)
-  | Checkpoint of { wv : int; entries : (int * int * string) list }
-      (** full snapshot: (persistent id, committed version, value) *)
 
 val record_wv : record -> int
 
@@ -41,13 +43,6 @@ val sync : t -> unit
 val close : t -> unit
 (** Flush (and, unless in negative-control mode, fsync) then close. *)
 
-val rotate : t -> build:(record list -> record list) -> unit
-(** Checkpoint + compaction: drain the buffer, hand the old log's intact
-    records to [build], write the records it returns to a temp file,
-    fsync, rename over the log (the atomic commit point) and fsync the
-    directory.  Counters reset to the new file's contents, all of it
-    acknowledged. *)
-
 val path : t -> string
 val sync_every : t -> int
 
@@ -56,7 +51,7 @@ val broken : t -> bool
     subsequent appends are dropped. *)
 
 val appended_records : t -> int
-(** Records enqueued since open/rotate (monotone, read without lock). *)
+(** Records enqueued since open (monotone, read without lock). *)
 
 val synced_records : t -> int
 (** Records covered by a completed fsync — the acknowledged-durable

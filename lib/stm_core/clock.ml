@@ -62,13 +62,15 @@ let on_abort () =
     Atomic.incr clock
   end
 
-(* Post-recovery fence: WAL replay decides "already covered by the last
-   checkpoint" with a version comparison, so versions minted after a
-   restart must stay strictly above every replayed commit version —
-   otherwise a post-recovery commit's record would look older than the
-   state it follows and be skipped (or mis-ordered) by the *next*
-   recovery. *)
+(* Two callers.  WAL recovery fences the clock at the highest replayed
+   commit version: the next recovery replays in wv order, so versions
+   minted after a restart must stay strictly above every replayed one, or
+   a post-recovery commit's record would sort before the state it follows.
+   Under GV5, an extending reader catches the clock up to the version it
+   saw so that its new snapshot covers it.  Traced as a clock write, like
+   [tick] and [on_abort]. *)
 let catch_up v =
+  if !Runtime.tracing then Runtime.trace_access write_event;
   cas_max clock v;
   cas_max gv5_high v
 

@@ -51,8 +51,11 @@ val catch_up : int -> unit
 (** Advance the clock to at least [v] (monotone; no-op if already past).
     Called by WAL recovery with the highest replayed commit version, so
     versions minted after a restart stay strictly above everything the
-    replay installed — a correctness requirement for the next recovery's
-    "newer than the checkpoint" comparison. *)
+    replay installed — the next recovery replays in commit-version order,
+    and a post-recovery record must sort after the state it follows.
+    Under GV5 it is also called by an extending reader with the version
+    it saw, so that its new snapshot covers that version.  Traced as a
+    clock write. *)
 
 val current_policy : unit -> Runtime.clock_policy
 

@@ -25,8 +25,8 @@ let no_pe = -2
    workload (2 vCPUs, 5 alternating pairs, both sides hashing only while
    recording) unpadded locks beat padded ones in every pair, OE-STM by
    14% and TL2 by 3% in the median.  Padding stays on the cells every
-   domain hits: the clock, [Runtime.Serial]'s holder, registry slots,
-   stats shards and boosting's durable floor. *)
+   domain hits: the clock, [Runtime.Serial]'s holder, registry slots
+   and stats shards. *)
 let create ?(pe = no_pe) () =
   { stamp_cell = Atomic.make 0; claim = Atomic.make (-1); pe }
 

@@ -66,25 +66,6 @@ let pp_finding ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" f.file f.line f.col
     (kind_name f.kind) f.msg
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let finding_to_json f =
-  Printf.sprintf
-    {|{"file":"%s","line":%d,"col":%d,"kind":"%s","msg":"%s"}|}
-    (json_escape f.file) f.line f.col (kind_name f.kind) (json_escape f.msg)
-
 let escape_names = Summary.escape_names
 
 (* --- suppression regions ([@txlint.allow "kind" "reason"]) ----------- *)

@@ -84,9 +84,6 @@ type finding = {
 val pp_finding : Format.formatter -> finding -> unit
 (** [file:line:col: [kind] msg] — one line, editor-clickable. *)
 
-val json_escape : string -> string
-val finding_to_json : finding -> string
-
 val escape_names : string list
 (** The escape-hatch value names: [peek], [unsafe_write],
     [unsafe_preload]. *)

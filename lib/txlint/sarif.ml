@@ -14,7 +14,19 @@ let schema_uri = "https://json.schemastore.org/sarif-2.1.0.json"
 let version = "2.1.0"
 let base_id = "SRCROOT"
 
-let escape = Lint.json_escape
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 let rule_json kind =
   Printf.sprintf

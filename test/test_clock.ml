@@ -154,6 +154,38 @@ let test_gv5_lsa_extension () =
   Alcotest.(check int) "reads the committed value" 7 v;
   Alcotest.(check int) "a single attempt suffices" 1 !tries
 
+(* Every GV5 commit below installs [clock + 2] and leaves the clock where
+   it was.  Extending to [now] alone would leave the snapshot below each
+   later read and validate the read set again on every one of them; the
+   extension catches the clock up to the version it saw, so one
+   validation covers all 2000 reads. *)
+let test_gv5_extension_catches_up () =
+  with_policy Runtime.GV5 @@ fun () ->
+  let module S = Classic_stm.Lsa in
+  let n = 2_000 in
+  let tvs = Array.init n (fun _ -> S.tvar 0) in
+  Array.iter (fun tv -> S.atomic (fun ctx -> S.write ctx tv 1)) tvs;
+  let was = Stats.detailed_enabled () in
+  Stats.set_detailed true;
+  Stats.reset S.stats;
+  let sum =
+    Fun.protect
+      ~finally:(fun () -> Stats.set_detailed was)
+      (fun () ->
+        S.atomic (fun ctx ->
+            Array.fold_left (fun a tv -> a + S.read ctx tv) 0 tvs))
+  in
+  (* The sanitizer's strict-opacity mode (TXSAN=1) validates once more at
+     every read; those are not extension work. *)
+  let validations =
+    Stats.Hist.count (Stats.snapshot S.stats).Stats.validation_len
+    - if !Runtime.sanitizer then n else 0
+  in
+  Alcotest.(check int) "reads every committed value" n sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 extension validations (%d)" validations)
+    true (validations <= 2)
+
 (* ------------------------------------------------------------------ *)
 (* Real-parallelism stress, sanitized                                  *)
 
@@ -322,6 +354,8 @@ let suite =
       test_gv5_tl2_staleness;
     Alcotest.test_case "GV5/LSA: stale-but-valid read extends in place" `Quick
       test_gv5_lsa_extension;
+    Alcotest.test_case "GV5/LSA: one extension covers later commits" `Quick
+      test_gv5_extension_catches_up;
     Alcotest.test_case "differential: verdicts agree across policies" `Slow
       test_cross_policy_verdicts;
     Alcotest.test_case "ground truth holds under every policy" `Slow

@@ -1,6 +1,6 @@
 (* lib/persist: CRC framing, the write-ahead log, group commit,
    recovery, torn-tail handling, fault injection (fsync failures, short
-   writes), checkpoint compaction and the per-engine durability hook. *)
+   writes) and the per-engine durability hook. *)
 
 open Stm_core
 
@@ -37,9 +37,6 @@ let test_codecs () =
     [ 0; 1; -1; 42; max_int; min_int ];
   Alcotest.(check string) "string is identity" "abc\000def"
     (roundtrip Persist.Codec.string "abc\000def");
-  let m = Persist.Codec.marshal () in
-  Alcotest.(check (list int)) "marshal roundtrip" [ 3; 1; 4 ]
-    (roundtrip m [ 3; 1; 4 ]);
   Alcotest.check_raises "int codec rejects wrong length"
     (Invalid_argument "Persist.Codec.int: expected 8 bytes") (fun () ->
       ignore (Persist.Codec.int.Persist.Codec.decode "short"))
@@ -243,12 +240,12 @@ let test_missing_and_garbage_log () =
       let a = mk_ptvar 0 in
       let s = Persist.recover ~path () in
       Alcotest.(check int) "missing log replays nothing" 0
-        s.Persist.records_intact;
+        s.Persist.updates_intact;
       Alcotest.(check int) "value untouched" 100 (Persist.Ptvar.value a);
       write_file path "this is not a WAL";
       let s = Persist.recover ~path () in
       Alcotest.(check int) "bad magic replays nothing" 0
-        s.Persist.records_intact;
+        s.Persist.updates_intact;
       Alcotest.(check bool) "bad magic is never truncated" false
         s.Persist.truncated;
       Alcotest.(check string) "file left alone" "this is not a WAL"
@@ -309,66 +306,65 @@ let test_short_write_poisons () =
       Alcotest.(check int) "state from the intact prefix" 103
         (Persist.Ptvar.value a'))
 
-(* --- checkpoint + compaction ------------------------------------------ *)
+(* --- unknown record types -------------------------------------------- *)
 
-let test_checkpoint_compaction () =
+(* A checkpoint frame as older builds wrote it: type 2, then per entry a
+   persistent id, the committed version and the value. *)
+let checkpoint_frame ~wv entries =
+  let p = Buffer.create 64 in
+  let add_u32 b n = Buffer.add_int32_le b (Int32.of_int n) in
+  Buffer.add_char p '\002';
+  Buffer.add_int64_le p (Int64.of_int wv);
+  add_u32 p (List.length entries);
+  List.iter
+    (fun (pid, version, bytes) ->
+      add_u32 p pid;
+      Buffer.add_int64_le p (Int64.of_int version);
+      add_u32 p (String.length bytes);
+      Buffer.add_string p bytes)
+    entries;
+  let payload = Buffer.contents p in
+  let len = Buffer.create 4 in
+  add_u32 len (String.length payload);
+  let len = Buffer.contents len in
+  let crc =
+    Persist.Crc32.digest ~seed:(Persist.Crc32.string len) payload ~pos:0
+      ~len:(String.length payload)
+  in
+  let f = Buffer.create 64 in
+  Buffer.add_string f len;
+  add_u32 f crc;
+  Buffer.add_string f payload;
+  Buffer.contents f
+
+(* The log holds update records only: a type-2 frame between two intact
+   updates is undecodable, so recovery replays the first update and cuts
+   the log there, dropping the update behind it. *)
+let test_checkpoint_frame_cuts_log () =
   with_wal_file (fun path ->
-      let a = mk_ptvar 0 and b = mk_ptvar 1 in
-      Persist.enable ~path ();
-      let e = List.assoc "TL2" engines in
-      for _ = 1 to 8 do
-        transfer e a b
-      done;
-      Persist.checkpoint ();
-      for _ = 1 to 2 do
-        transfer e a b
-      done;
-      Persist.reset_for_testing ();
-      let sc = Persist.Wal.scan_string (read_file path) in
-      Alcotest.(check int) "log compacted to checkpoint + tail" 3
-        (List.length sc.Persist.Wal.s_records);
-      let a' = mk_ptvar 0 and b' = mk_ptvar 1 in
+      let enc = Persist.Codec.int.Persist.Codec.encode in
+      let append_update wv v =
+        let w = Persist.Wal.open_log ~path ~sync_every:1 ~sync_ns:0 in
+        Persist.Wal.append w (Persist.Wal.Update { wv; entries = [ (0, enc v) ] });
+        Persist.Wal.close w
+      in
+      append_update 1 1;
+      let cut = String.length (read_file path) in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path
+        (fun oc ->
+          Out_channel.output_string oc
+            (checkpoint_frame ~wv:5 [ (0, 5, enc 7) ]));
+      append_update 9 3;
+      let a = mk_ptvar 0 in
       let s = Persist.recover ~path () in
-      Alcotest.(check bool) "summary says checkpointed" true
-        s.Persist.checkpointed;
-      Alcotest.(check int) "value through checkpoint + updates" 90
-        (Persist.Ptvar.value a');
-      Alcotest.(check int) "conservation" 200
-        (Persist.Ptvar.value a' + Persist.Ptvar.value b'))
-
-(* --- boosting op-log + plain replayers -------------------------------- *)
-
-let test_boosting_durable_oplog () =
-  with_wal_file (fun path ->
-      let applied = ref [] in
-      Persist.register_replayer ~pid:50 (fun s -> applied := s :: !applied);
-      Persist.enable ~path ();
-      Boosting.atomic (fun tx ->
-          Boosting.log_durable tx ~id:50 "add:7";
-          Boosting.log_durable tx ~id:50 "add:9");
-      Boosting.atomic (fun tx -> Boosting.log_durable tx ~id:50 "del:7");
-      Alcotest.(check int) "one record per boosted root commit" 2
-        (Persist.appended_records ());
-      Alcotest.(check int) "acked" 2 (Persist.acked_records ());
-      Persist.reset_for_testing ();
-      Persist.register_replayer ~pid:50 (fun s -> applied := s :: !applied);
-      let s = Persist.recover ~path () in
-      Alcotest.(check int) "both records replayed" 2 s.Persist.updates_intact;
-      Alcotest.(check (list string)) "ops in commit order"
-        [ "add:7"; "add:9"; "del:7" ]
-        (List.rev !applied);
-      (* Plain replayers have no snapshot: a checkpoint must carry their
-         records forward verbatim. *)
-      Persist.enable ~path ();
-      Persist.checkpoint ();
-      Persist.reset_for_testing ();
-      applied := [];
-      Persist.register_replayer ~pid:50 (fun s -> applied := s :: !applied);
-      let s = Persist.recover ~path () in
-      Alcotest.(check bool) "checkpoint present" true s.Persist.checkpointed;
-      Alcotest.(check (list string)) "ops survive compaction"
-        [ "add:7"; "add:9"; "del:7" ]
-        (List.rev !applied))
+      Alcotest.(check int) "only the first update is intact" 1
+        s.Persist.updates_intact;
+      Alcotest.(check int) "state is the first update's" 1
+        (Persist.Ptvar.value a);
+      Alcotest.(check int) "max_wv is the first update's" 1 s.Persist.max_wv;
+      Alcotest.(check bool) "the log was cut" true s.Persist.truncated;
+      Alcotest.(check int) "cut at the type-2 frame" cut
+        (String.length (read_file path)))
 
 (* --- registration discipline ------------------------------------------ *)
 
@@ -405,10 +401,8 @@ let suite =
       test_fsync_failure;
     Alcotest.test_case "short write poisons, prefix recovers" `Quick
       test_short_write_poisons;
-    Alcotest.test_case "checkpoint compacts, state survives" `Quick
-      test_checkpoint_compaction;
-    Alcotest.test_case "boosting durable op-log" `Quick
-      test_boosting_durable_oplog;
+    Alcotest.test_case "a type-2 frame cuts the log" `Quick
+      test_checkpoint_frame_cuts_log;
     Alcotest.test_case "registration discipline" `Quick
       test_registration_errors ]
   @ List.map

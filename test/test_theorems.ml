@@ -48,8 +48,9 @@ let spec_gen =
   pair proc_spec proc_spec
 
 (* Lay the two processes' events out in a random but per-process-ordered
-   interleaving, computing read values by replaying register semantics.
-   Late releases are attached after the *last* commit of the process
+   interleaving in which no two processes hold a protection element at
+   once, computing read values by replaying register semantics.  Late
+   releases are attached after the *last* commit of the process
    (modelling protection held to the end of a composition). *)
 let build_history seed ((p1, p2) : gen_proc_spec * gen_proc_spec) =
   let rng = ref (seed lor 1) in
@@ -151,30 +152,44 @@ let build_history seed ((p1, p2) : gen_proc_spec * gen_proc_spec) =
         Op { obj; tx; op = Event.op "read"; value = v }
     | e -> e
   in
-  let rec merge () =
-    match (!e1, !e2) with
-    | [], [] -> ()
-    | x :: r1, [] ->
-      e1 := r1;
-      out := value_replay x :: !out;
-      merge ()
-    | [], y :: r2 ->
-      e2 := r2;
-      out := value_replay y :: !out;
-      merge ()
-    | x :: r1, y :: r2 ->
-      if next_bool () then begin
-        e1 := r1;
-        out := value_replay x :: !out
-      end
-      else begin
-        e2 := r2;
-        out := value_replay y :: !out
-      end;
-      merge ()
+  (* Protection elements act as locks (Section II.B): a process whose next
+     event acquires a pe the other process holds waits for its release.  If
+     both processes wait, the draw deadlocked and yields the empty history,
+     which is vacuous for every property. *)
+  let holder = Hashtbl.create 4 in
+  let ready = function
+    | [] -> false
+    | Acquire { pe; proc } :: _ -> (
+      match Hashtbl.find_opt holder pe with
+      | Some p -> p = proc
+      | None -> true)
+    | _ -> true
   in
-  merge ();
-  History.of_list (List.rev !out)
+  let step evs =
+    match !evs with
+    | [] -> ()
+    | x :: rest ->
+      evs := rest;
+      (match x with
+      | Acquire { pe; proc } -> Hashtbl.replace holder pe proc
+      | Release { pe; _ } -> Hashtbl.remove holder pe
+      | _ -> ());
+      out := value_replay x :: !out
+  in
+  let rec merge () =
+    match (ready !e1, ready !e2) with
+    | true, true ->
+      step (if next_bool () then e1 else e2);
+      merge ()
+    | true, false ->
+      step e1;
+      merge ()
+    | false, true ->
+      step e2;
+      merge ()
+    | false, false -> !e1 = [] && !e2 = []
+  in
+  if merge () then History.of_list (List.rev !out) else History.of_list []
 
 let env : Spec.env = fun _ -> Spec.register ~init:0
 
@@ -265,6 +280,55 @@ let prop_strong_implies_weak =
             <> Some false
           | _ -> true)))
 
+(* Two processes hold one protection element at once: some process acquires
+   a pe while another process holds it. *)
+let overlapping_holds h =
+  let holder = Hashtbl.create 4 in
+  List.exists
+    (function
+      | Acquire { pe; proc } -> (
+        match Hashtbl.find_opt holder pe with
+        | Some p when p <> proc -> true
+        | _ ->
+          Hashtbl.replace holder pe proc;
+          false)
+      | Release { pe; _ } ->
+        Hashtbl.remove holder pe;
+        false
+      | _ -> false)
+    (History.to_list h)
+
+(* Theorem 4.4 needs exclusive holds (DESIGN.md 5b, item 6).  The history
+   below — the shrunk counterexample a generator without them drew at
+   QCHECK_SEED=91 — is well-formed, relax-serializable and satisfies
+   outheritance for {t1, t2, t3}, yet has no weak-composability witness:
+   p1 holds l0 over events 2-26 while p2 takes l0 at event 11. *)
+let test_overlapping_holds_break_4_4 () =
+  let b tx proc = Begin { tx; proc } and c tx proc = Commit { tx; proc } in
+  let acq pe proc = Acquire { pe; proc } and rel pe proc = Release { pe; proc } in
+  let rd obj tx value = Op { obj; tx; op = Event.op "read"; value } in
+  let wr obj tx v = Op { obj; tx; op = Event.op ~arg:v "write"; value = v } in
+  let h =
+    History.of_list
+      [ b 1 1; b 4 2; acq 0 1; rd 0 1 0; c 1 1; b 2 1; acq 1 2; wr 1 4 101;
+        acq 2 1; wr 2 2 102; rel 2 1; acq 0 2; rd 0 4 0; c 2 1; rel 0 2;
+        acq 2 2; b 3 1; rd 2 4 102; acq 1 1; wr 1 3 103; c 4 2; rel 2 2;
+        rel 1 2; rel 1 1; wr 0 3 104; c 3 1; rel 0 1 ]
+  in
+  Alcotest.(check int) "27 events" 27 (History.length h);
+  Alcotest.(check bool) "well-formed" true (History.well_formed h = Ok ());
+  Alcotest.(check bool) "holds overlap" true (overlapping_holds h);
+  Alcotest.(check (option bool)) "relax-serializable" (Some true)
+    (outcome_bool (Serializability.relax_serializable ~budget:200_000 ~env h));
+  let c =
+    match Composition.make h [ 1; 2; 3 ] with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "outheritance holds" true (Outheritance.satisfies h c);
+  Alcotest.(check bool) "no weak-composability witness" true
+    (Composition.weakly_composable ~budget:200_000 ~env h c = Search.No_witness)
+
 (* Guard against vacuity: the implications above are only worth anything
    if the generator regularly produces histories where their premises
    hold.  Sample the generator and require healthy branch coverage. *)
@@ -273,9 +337,11 @@ let test_generator_not_vacuous () =
   let rand = Random.State.make [| 7 |] in
   let total = 400 in
   let wf = ref 0 and with_comp = ref 0 and premise_4_4 = ref 0 in
+  let overlaps = ref 0 in
   for _ = 1 to total do
     let seed, spec = QCheck.Gen.generate1 ~rand gen in
     let h = build_history seed spec in
+    if overlapping_holds h then incr overlaps;
     match History.well_formed h with
     | Error _ -> ()
     | Ok () -> (
@@ -302,11 +368,14 @@ let test_generator_not_vacuous () =
     (Printf.sprintf "Theorem 4.4's premise is exercised (%d/%d)" !premise_4_4
        total)
     true
-    (!premise_4_4 > total / 10)
+    (!premise_4_4 > total / 10);
+  Alcotest.(check int) "no generated history overlaps holds" 0 !overlaps
 
 let suite =
   [ Alcotest.test_case "generator is not vacuous" `Quick
       test_generator_not_vacuous;
+    Alcotest.test_case "overlapping holds break Theorem 4.4" `Quick
+      test_overlapping_holds_break_4_4;
     QCheck_alcotest.to_alcotest prop_theorem_4_4;
     QCheck_alcotest.to_alcotest prop_self_witness;
     QCheck_alcotest.to_alcotest prop_strong_implies_weak ]
