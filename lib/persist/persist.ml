@@ -68,14 +68,14 @@ let register ~pid replay =
 (* Persistent tvars                                                    *)
 
 module Ptvar = struct
-  type 'a t = { pid : int; tv : 'a Tvar.t; codec : 'a Codec.t }
+  type 'a t = { pid : int; tv : 'a Tvar.t }
 
   let make ~id ~codec v =
     let tv = Tvar.make v in
     register ~pid:id (fun s -> Tvar.unsafe_write tv (codec.Codec.decode s));
     Durable.register_encoder ~tvar_id:(Tvar.id tv) ~pid:id (fun o ->
         codec.Codec.encode (Obj.obj o));
-    { pid = id; tv; codec }
+    { pid = id; tv }
 
   let tvar t = t.tv
   let id t = t.pid
