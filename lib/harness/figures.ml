@@ -152,15 +152,3 @@ let pp_result ppf (r : figure_result) =
         (List.fold_left max 1 r.threads)
         (oe /. best_classic)
   | _ -> ())
-
-let pp_csv ppf (r : figure_result) =
-  Format.fprintf ppf "figure,series,threads,ops_per_ms,abort_rate@.";
-  List.iter
-    (fun s ->
-      List.iter
-        (fun p ->
-          Format.fprintf ppf "%s,%s,%d,%.3f,%.4f@." (short_name r.figure)
-            s.series_name p.Sweep.threads p.Sweep.ops_per_ms
-            p.Sweep.abort_rate)
-        s.points)
-    r.series

@@ -350,18 +350,18 @@ end = struct
     + Bool.to_int (Option.is_some ctx.w1)
 
   (* The versioned commit (DESIGN.md 5k): schedule point, serial gate,
-     poison check, lock the write set, tick the clock, validate, last
-     poison check, install, stage the durable record; then the recorded
-     commit event and the footprint histograms. *)
+     lock the write set, tick the clock, validate, last poison check,
+     install, stage the durable record; then the footprint histograms.
+     The attempt bracket makes the entry poison check and records the
+     commit. *)
   let commit ctx =
     Runtime.schedule_point ();
-    (* Serial-irrevocable gate (see Retry_loop): while another process
-       holds the fallback token no one else may commit.  Abort rather than
-       block, so any locks this transaction holds are released for the
-       token holder. *)
+    (* Serial-irrevocable gate (see [Attempt]'s escalation): while another
+       process holds the fallback token no one else may commit.  Abort
+       rather than block, so any locks this transaction holds are released
+       for the token holder. *)
     if not (Runtime.Serial.commit_allowed ()) then
       Control.abort_tx Control.Killed;
-    if !Runtime.recovery then Recovery.check_poisoned ();
     let root = ctx.root in
     let owner = root.root_tx and wset = root.wset in
     if Rwsets.Wset.is_empty wset then begin
@@ -399,14 +399,12 @@ end = struct
           raise e
       end;
       Rwsets.Wset.install_and_unlock wset ~wv;
-      (* Post-install: stage the durable entries for the WAL.  Retry_loop
-         fires the record once this attempt's outcome is a definitive
-         commit, and discards it if anything below still aborts. *)
+      (* Post-install: stage the durable entries for the WAL.  The attempt
+         handler fires the record once this attempt's outcome is a
+         definitive commit, and discards it if anything still aborts. *)
       if !Runtime.durability then
         Durable.stage ~wv (Rwsets.Wset.capture_durable wset)
     end;
-    Txrec.commit_tx root.rec_state ~tx:owner;
-    Txrec.release_remaining root.rec_state;
     if Stats.detailed_enabled () then
       Stats.record_rwset_sizes stats ~reads:(reads ctx)
         ~writes:(Rwsets.Wset.size wset)

@@ -8,10 +8,11 @@
 
    The durability unit is the top-level committed transaction, exactly
    as the paper's relaxed-transaction model defines it: the post-install
-   hook fires in Retry_loop once the outcome is a definitive commit, and
-   the record carries the commit version wv, so replay can re-impose
-   version order across restarts the same way the multi-version systems
-   it borrows from reconstruct state from version order. *)
+   hook fires in the attempt handler once the outcome is a definitive
+   commit, and the record carries the commit version wv, so replay can
+   re-impose version order across restarts the same way the
+   multi-version systems it borrows from reconstruct state from version
+   order. *)
 
 open Stm_core
 
@@ -68,18 +69,17 @@ let register ~pid replay =
 (* Persistent tvars                                                    *)
 
 module Ptvar = struct
-  type 'a t = { pid : int; tv : 'a Tvar.t }
+  type 'a t = 'a Tvar.t
 
   let make ~id ~codec v =
     let tv = Tvar.make v in
     register ~pid:id (fun s -> Tvar.unsafe_write tv (codec.Codec.decode s));
     Durable.register_encoder ~tvar_id:(Tvar.id tv) ~pid:id (fun o ->
         codec.Codec.encode (Obj.obj o));
-    { pid = id; tv }
+    tv
 
-  let tvar t = t.tv
-  let id t = t.pid
-  let value t = Tvar.peek t.tv
+  let tvar t = t
+  let value t = Tvar.peek t
 end
 
 (* ------------------------------------------------------------------ *)
@@ -129,15 +129,12 @@ let acked_wv () = match !wal with None -> 0 | Some w -> Wal.synced_wv w
 type summary = {
   updates_intact : int;  (** intact update records (prefix durability) *)
   entries_applied : int;
-  entries_skipped : int;  (** unknown persistent id *)
-  torn_bytes : int;  (** bytes past the last intact record *)
   truncated : bool;  (** a torn tail was cut off *)
   max_wv : int;  (** highest replayed commit version (clock catch-up) *)
 }
 
 let empty_summary =
-  { updates_intact = 0; entries_applied = 0; entries_skipped = 0;
-    torn_bytes = 0; truncated = false; max_wv = 0 }
+  { updates_intact = 0; entries_applied = 0; truncated = false; max_wv = 0 }
 
 (* Replay a scanned log into the registered ptvars, in ascending wv.  wv
    order extends the real dependency order under every clock policy (an
@@ -151,7 +148,7 @@ let replay_scanned (sc : Wal.scanned) =
       (fun a b -> compare (Wal.record_wv a) (Wal.record_wv b))
       (List.map snd sc.Wal.s_records)
   in
-  let applied = ref 0 and skipped = ref 0 and max_wv = ref 0 in
+  let applied = ref 0 and max_wv = ref 0 in
   List.iter
     (fun (Wal.Update { wv; entries }) ->
       max_wv := wv;
@@ -161,14 +158,12 @@ let replay_scanned (sc : Wal.scanned) =
           | Some replay ->
             replay bytes;
             incr applied
-          | None -> incr skipped)
+          | None -> ())
         entries)
     records;
   Clock.catch_up !max_wv;
   { updates_intact = List.length records;
     entries_applied = !applied;
-    entries_skipped = !skipped;
-    torn_bytes = sc.Wal.s_file_len - sc.Wal.s_good_end;
     truncated = false;
     max_wv = !max_wv }
 

@@ -4,9 +4,9 @@
     A {!Ptvar.t} wraps a {!Stm_core.Tvar.t} with a stable persistent id
     and a {!Codec}.  While {!enable} has a log open, every committed
     top-level transaction that wrote at least one ptvar appends one
-    CRC32-framed record [{wv, [(id, bytes)]}] — fired by the engines'
-    post-install hook in [Retry_loop], so a record always describes a
-    transaction that definitively happened.  Group commit batches fsyncs
+    CRC32-framed record [{wv, [(id, bytes)]}] — fired by the attempt
+    handler ({!Stm_core.Attempt.Make}) once the commit is definitive, so a
+    record always describes a transaction that definitively happened.  Group commit batches fsyncs
     ({!enable}'s [sync_every]); the acknowledged-durable boundary is
     {!acked_records}.  On restart, {!recover} scans the log, truncates a
     torn tail at the first bad CRC and replays records in commit-version
@@ -49,8 +49,6 @@ module Ptvar : sig
   (** The underlying tvar, for use with any engine whose
       ['a tvar = 'a Stm_core.Tvar.t]. *)
 
-  val id : 'a t -> int
-
   val value : 'a t -> 'a
   (** Committed value (non-transactional peek). *)
 end
@@ -91,9 +89,8 @@ val acked_wv : unit -> int
 
 type summary = {
   updates_intact : int;  (** intact update records (prefix durability) *)
-  entries_applied : int;
-  entries_skipped : int;  (** unknown persistent id *)
-  torn_bytes : int;  (** bytes past the last intact record *)
+  entries_applied : int;  (** entries replayed; an unknown persistent id
+                              is skipped *)
   truncated : bool;  (** a torn tail was cut off *)
   max_wv : int;  (** highest replayed commit version (clock catch-up) *)
 }

@@ -20,14 +20,23 @@ exception Timeout of string
    reclaim.  Real code never raises it. *)
 exception Crashed
 
-(* The sanitizer's abort-generation bump ({!Txrec.bump_abort_generation}),
-   installed by [Sanitizer.enable].  A hook rather than a direct call keeps
-   this module free of dependencies; the [Runtime.sanitizer] guard keeps the
-   disabled cost at one load. *)
-let abort_notifier : (unit -> unit) ref = ref (fun () -> ())
+(* The sanitizer's abort generation: a per-domain count of [abort_tx]
+   raises, bumped only while the sanitizer is on (the guard keeps the
+   disabled cost at one load).  Registered with the TLS registry so that
+   under the deterministic scheduler it context-switches with the logical
+   process. *)
+let abort_gen : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let () =
+  Runtime.register_tls
+    ~save:(fun () -> Obj.repr !(Domain.DLS.get abort_gen))
+    ~restore:(fun o -> Domain.DLS.get abort_gen := (Obj.obj o : int))
+
+let abort_generation () = !(Domain.DLS.get abort_gen)
+let set_abort_generation n = Domain.DLS.get abort_gen := n
 
 let abort_tx r =
-  if !Runtime.sanitizer then !abort_notifier ();
+  if !Runtime.sanitizer then incr (Domain.DLS.get abort_gen);
   raise (Abort_tx r)
 
 let reason_to_string = function

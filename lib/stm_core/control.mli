@@ -23,7 +23,7 @@ type reason =
 
 exception Abort_tx of reason
 (** Raised to abort the current transaction attempt.  Caught only by the
-    outermost retry loop. *)
+    top-level attempt's handler. *)
 
 exception Starvation of string
 (** Raised when a transaction exceeds the configured retry cap
@@ -46,14 +46,19 @@ exception Timeout of string
     serialises, until the transaction commits. *)
 
 val abort_tx : reason -> 'a
-(** Raise {!Abort_tx}.  While {!Runtime.sanitizer} is set, first invokes
-    {!abort_notifier} so the sanitizer can detect aborts that user code
-    swallows before they reach the retry loop. *)
+(** Raise {!Abort_tx}.  While {!Runtime.sanitizer} is set, first bumps the
+    calling domain's {!abort_generation}, so the sanitizer can detect
+    aborts that user code swallows before they reach the attempt's
+    handler.  Code raising {!Abort_tx} directly is invisible to it. *)
 
-val abort_notifier : (unit -> unit) ref
-(** Called by {!abort_tx} while the sanitizer is enabled; owned by
-    {!Sanitizer} (default no-op).  Code raising {!Abort_tx} directly,
-    bypassing {!abort_tx}, is invisible to it. *)
+val abort_generation : unit -> int
+(** The calling domain's count of {!abort_tx} raises made while the
+    sanitizer was on. *)
+
+val set_abort_generation : int -> unit
+(** Restore the count after an attempt is audited, so nested attempts
+    (one engine's [atomic] inside another's) each see only their own
+    aborts. *)
 
 val reason_to_string : reason -> string
 val reason_index : reason -> int

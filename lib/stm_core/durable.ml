@@ -9,7 +9,7 @@
      [Rwsets.Wset.capture_durable] right after a write set installs;
    - a per-domain staging slot: the engine stages [(pid, bytes)] entries
      together with the commit version [wv] while still inside the
-     attempt, and [Retry_loop] fires the staged record through
+     attempt, and the attempt handler fires the staged record through
      [commit_hook] only once the attempt's outcome is a definitive
      commit (or discards it on abort, so a record is never logged for a
      transaction that did not happen);

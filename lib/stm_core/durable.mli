@@ -2,8 +2,8 @@
     (lib/persist).
 
     Engines stage the serialized entries of a just-installed write set;
-    {!Retry_loop} fires the staged record through {!commit_hook} once the
-    attempt's outcome is a definitive commit, and discards it on abort —
+    the attempt handler ({!Attempt.Make}) fires the staged record through
+    {!commit_hook} once the attempt's outcome is a definitive commit, and discards it on abort —
     so a WAL record is only ever appended for a transaction that
     happened, and always after its values are visible in memory.  All
     call sites are guarded by {!Runtime.durability}. *)
@@ -37,7 +37,7 @@ val commit_hook : (staged -> unit) ref
     Default no-op. *)
 
 val on_commit : unit -> unit
-(** Called by {!Retry_loop} after a successful top-level commit: if the
+(** Called by the attempt handler after a successful top-level commit: if the
     current domain staged a record, count it, clear the slot and hand the
     record to {!commit_hook}. *)
 

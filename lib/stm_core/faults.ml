@@ -8,10 +8,10 @@
    perturbations are reproducible; across real domains the draws interleave
    nondeterministically, which is what a chaos stress wants anyway.
 
-   Injection is confined to transaction attempts: a per-process flag set by
-   {!Retry_loop} around each attempt keeps faults out of backoff
-   waits (where an [Abort_tx] would escape the retry loop) and out of
-   non-transactional code.  It is also suppressed while the serial
+   Injection is confined to transaction attempts: a per-process flag set
+   by the attempt handler ([Attempt]) around each attempt keeps faults out
+   of backoff waits (where an [Abort_tx] would escape the retry loop) and
+   out of non-transactional code.  It is also suppressed while the serial
    fallback token is held, so an escalated transaction stays irrevocable
    and the no-starvation guarantee survives arbitrary fault rates. *)
 
@@ -233,7 +233,7 @@ let inject_validation_fail () =
        end
 
 (* The WAL runs *after* an attempt commits (the durability hook fires in
-   [Retry_loop] once [leave_attempt] has run), so these are deliberately
+   the attempt handler once [leave_attempt] has run), so these are deliberately
    not gated on [eligible]: a configured rate applies to every fsync /
    flush regardless of transactional context. *)
 let inject_fsync_fail () =

@@ -95,7 +95,7 @@ val inject_short_write : unit -> bool
 
 val enter_attempt : unit -> unit
 (** Mark the current process as inside a transaction attempt; set by
-    {!Retry_loop} around each attempt.  Without it no fault fires, keeping
+    the attempt handler ({!Attempt.Make}) around each attempt.  Without it no fault fires, keeping
     backoff waits and non-transactional code unperturbed. *)
 
 val leave_attempt : unit -> unit

@@ -124,9 +124,10 @@ let try_steal_vlock lock =
           end
      end
 
-(* Engines call this immediately before installing a write set (and once
-   more on entry to commit): a doomed transaction aborts here instead of
-   publishing values over locks it no longer holds. *)
+(* Called before every engine's commit (by the attempt bracket) and by the
+   tvar engine immediately before installing a write set: a doomed
+   transaction aborts here instead of publishing values over locks it no
+   longer holds. *)
 let check_poisoned () =
   if !Runtime.recovery && Registry.poisoned () then begin
     Stats.record_poisoned_commit ();

@@ -43,5 +43,6 @@ val try_steal_vlock : Vlock.t -> bool
 
 val check_poisoned : unit -> unit
 (** Abort the current transaction with {!Control.Poisoned} if its registry
-    slot was doomed by a thief.  Engines call this on entry to commit and
-    again immediately before installing their write set. *)
+    slot was doomed by a thief.  The attempt bracket calls this before an
+    engine's commit; the tvar engine calls it again immediately before
+    installing its write set, and boosting on every lock acquisition. *)

@@ -31,7 +31,7 @@ let heartbeat_hook : (unit -> unit) ref = ref (fun () -> ())
 let serial_reclaim_hook : (unit -> unit) ref = ref (fun () -> ())
 
 (* Durable commits.  [Persist] raises the flag while a write-ahead log is
-   open; [Retry_loop] consults it after every top-level outcome (fire the
+   open; [Attempt] consults it after every top-level outcome (fire the
    staged record on commit, drop it on abort), so the hot path pays one
    load-and-branch while durability is off.  The staging machinery itself
    lives in [Durable] to keep this module dependency-free. *)

@@ -63,7 +63,7 @@ val serial_reclaim_hook : (unit -> unit) ref
 val durability : bool ref
 (** Owned by [Persist] (lib/persist): set while a write-ahead log is open.
     Engines consult it after installing a write set (stage the serialized
-    entries with {!Durable.stage}) and {!Retry_loop} consults it after
+    entries with {!Durable.stage}) and {!Attempt.Make} consults it after
     every top-level outcome (fire or discard the staged record), so the
     hot path pays one load and branch while durability is off. *)
 
@@ -161,7 +161,7 @@ val tx_timeout_ns : int option ref
     (recorded in its engine's {!Stats}).  Default [None]: no deadline. *)
 
 (** The serial-irrevocable fallback token.  [enter]/[exit] are called by
-    {!Retry_loop}; engines consult [commit_allowed] in their commit (or,
+    {!Attempt.Make}'s escalation; engines consult [commit_allowed] in their commit (or,
     for boosting, lock-acquisition) paths and abort with
     {!Control.Killed} when another process holds the token. *)
 module Serial : sig

@@ -321,24 +321,22 @@ let on_commit ~owner ~wv iter =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Retry-loop-facing attempt audit                                     *)
-
-let attempt_fence () = Txrec.abort_generation ()
+(* Attempt-handler-facing audit                                        *)
 
 let audit_attempt ~before ~aborted =
   if active () then begin
     Atomic.incr c_attempts_audited;
-    let now = Txrec.abort_generation () in
+    let now = Control.abort_generation () in
     let expected = before + if aborted then 1 else 0 in
     if now > expected then
       record ~kind:Abort_swallowed ~pe:(-1) ~owner:(-1)
         (Printf.sprintf
-           "%d abort(s) raised during the attempt never reached the retry \
-            loop"
+           "%d abort(s) raised during the attempt never reached the \
+            attempt's handler"
            (now - expected));
-    (* Consume this attempt's aborts so enclosing retry loops (a nested
+    (* Consume this attempt's aborts so enclosing attempts (a nested
        [atomic] of another engine) audit only their own. *)
-    Txrec.set_abort_generation before
+    Control.set_abort_generation before
   end
 
 (* ------------------------------------------------------------------ *)
@@ -359,7 +357,6 @@ let reset () =
 
 let enable () =
   Runtime.sanitizer_hook := handle_event;
-  Control.abort_notifier := Txrec.bump_abort_generation;
   Runtime.sanitizer := true
 
 let disable () = Runtime.sanitizer := false

@@ -8,7 +8,8 @@
       instrumented {!Vlock} (boosting's abstract locks are vlocks too)
       and {!Tvar} (via {!Runtime.sanitizer_event});
     - read/commit/lifecycle callbacks from the four engines;
-    - an abort audit from {!Retry_loop} around every attempt.
+    - an abort audit from the attempt handler ({!Attempt.Make}) after
+      every attempt.
 
     {2 Check catalogue}
 
@@ -32,9 +33,9 @@
       carries a tick beyond [wv] and is skipped, so this cannot
       false-positive on a correct engine);
     - [Abort_swallowed]: a {!Control.abort_tx} was raised during an
-      attempt but never reached the retry loop (a catch-all handler in the
-      transaction body ate it), detected with a per-domain abort
-      generation counter ({!Txrec.abort_generation});
+      attempt but never reached the attempt's handler (a catch-all handler
+      in the transaction body ate it), detected with a per-domain abort
+      generation counter ({!Control.abort_generation});
     - [Bad_steal]: recovery stole a lock from an owner that is still
       live — neither crashed, nor dead/stale in the {!Registry}, nor
       doomed.  A correct {!Recovery} dooms the victim before the steal, so
@@ -92,8 +93,7 @@ type checks = {
 }
 
 val enable : unit -> unit
-(** Install the event handler and the abort notifier and set
-    {!Runtime.sanitizer}.  Does not clear previously recorded state; call
+(** Install the event handler and set {!Runtime.sanitizer}.  Does not clear previously recorded state; call
     {!reset} for a fresh run. *)
 
 val disable : unit -> unit
@@ -145,14 +145,11 @@ val on_commit : owner:int -> wv:int -> ((Rwsets.rentry -> unit) -> unit) -> unit
     before installing.  The third argument iterates the commit's tracked
     read entries; stale ones (see [Commit_stale] above) are reported. *)
 
-(** {2 Retry-loop-facing attempt audit} *)
-
-val attempt_fence : unit -> int
-(** The abort generation before an attempt starts. *)
+(** {2 Attempt-handler-facing audit} *)
 
 val audit_attempt : before:int -> aborted:bool -> unit
-(** Audit one finished attempt: with the fence [before] taken at its
-    start and whether it ended in an [Abort_tx] reaching the loop, any
-    additional generation movement is an abort swallowed inside the body.
-    Restores the generation to [before] so enclosing loops audit only
-    their own attempts. *)
+(** Audit one finished attempt: with [before], the
+    {!Control.abort_generation} at its start, and whether it ended in an
+    [Abort_tx] reaching the handler, any additional generation movement is
+    an abort swallowed inside the body.  Restores the generation to
+    [before] so enclosing attempts audit only their own. *)

@@ -9,7 +9,7 @@
 (* Detailed metrics (latency histograms, footprints, retry depths) cost two
    clock reads and a handful of atomic increments per transaction attempt,
    so they sit behind this global flag: when it is off, the hot path pays a
-   single load-and-branch in Retry_loop and nothing else. *)
+   single load-and-branch per transaction in Attempt and nothing else. *)
 let detailed = Atomic.make false
 let set_detailed b = Atomic.set detailed b
 let detailed_enabled () = Atomic.get detailed

@@ -13,7 +13,8 @@
 
     Latency histograms need two monotonic-clock reads per attempt, so they
     are recorded only while the global flag is on.  When it is off the hot
-    path pays a single load-and-branch ({!Retry_loop}) and nothing else. *)
+    path pays a single load-and-branch ({!Attempt.Make}, once per
+    transaction) and nothing else. *)
 
 val set_detailed : bool -> unit
 val detailed_enabled : unit -> bool

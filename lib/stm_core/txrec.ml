@@ -27,14 +27,20 @@ let commit_tx t ~tx =
 
 let emit_release t pe = Recorder.emit (Release { pe; proc = t.proc })
 
-let abort_open t =
+let release_remaining t =
   match t with
   | None -> ()
   | Some t ->
-    List.iter (fun tx -> Recorder.emit (Abort { tx; proc = t.proc })) t.open_txs;
-    t.open_txs <- [];
     Hashtbl.iter (fun pe count -> if count > 0 then emit_release t pe) t.held;
     Hashtbl.reset t.held
+
+let abort_open t =
+  match t with
+  | None -> ()
+  | Some r ->
+    List.iter (fun tx -> Recorder.emit (Abort { tx; proc = r.proc })) r.open_txs;
+    r.open_txs <- [];
+    release_remaining t
 
 let acquire t ~pe =
   match t with
@@ -54,31 +60,6 @@ let release t ~pe =
       if count = 1 then emit_release t pe
     end
     else Hashtbl.replace t.held pe (count - 1)
-
-let release_remaining t =
-  match t with
-  | None -> ()
-  | Some t ->
-    Hashtbl.iter (fun pe count -> if count > 0 then emit_release t pe) t.held;
-    Hashtbl.reset t.held
-
-(* Abort generation: a per-domain counter of [Control.abort_tx] raises,
-   bumped via [Control.abort_notifier] while the sanitizer is enabled.  The
-   retry loop fences it around each attempt: an attempt that ends normally
-   but saw the counter move contained a swallowed abort.  Registered with
-   the TLS registry so that, were the sanitizer ever enabled under the
-   deterministic scheduler, the counter would context-switch with the
-   logical process instead of leaking across processes. *)
-let abort_gen : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
-let () =
-  Runtime.register_tls
-    ~save:(fun () -> Obj.repr !(Domain.DLS.get abort_gen))
-    ~restore:(fun o -> Domain.DLS.get abort_gen := (Obj.obj o : int))
-
-let bump_abort_generation () = incr (Domain.DLS.get abort_gen)
-let abort_generation () = !(Domain.DLS.get abort_gen)
-let set_abort_generation n = Domain.DLS.get abort_gen := n
 
 (* The fingerprint is taken inside the [Some] branch: [Hashtbl.hash] walks
    the value (on a list node, into the next node's tvar and lock), and an

@@ -39,21 +39,3 @@ val read : t option -> tx:int -> pe:int -> 'a -> unit
 
 val write : t option -> tx:int -> pe:int -> 'a -> unit
 (** Like {!read}, for a write of [v]. *)
-
-(** {2 Abort generation}
-
-    A per-domain counter of {!Control.abort_tx} raises, used by the
-    sanitizer to detect aborts swallowed by user code: {!Retry_loop} reads
-    it before an attempt and audits it after — an attempt that returned
-    normally (or raised something else) while the counter moved contained
-    an abort that never reached the loop. *)
-
-val bump_abort_generation : unit -> unit
-(** Installed as {!Control.abort_notifier} while the sanitizer is on. *)
-
-val abort_generation : unit -> int
-
-val set_abort_generation : int -> unit
-(** Restore the counter to a fenced value after auditing an attempt, so
-    nested retry loops (one engine's [atomic] inside another's) each see
-    only their own attempt's aborts. *)

@@ -229,10 +229,8 @@ let check_sites ~file (body : Parsetree.expression) =
 type interp = { idx : Index.t; sums : Summary.t }
 
 (* A transaction entry point: any [atomic] application (every engine and
-   the Stm_intf.S signature use the name) or a [Retry_loop.run] thunk. *)
-let is_tx_entry path =
-  let final = List.nth path (List.length path - 1) in
-  final = "atomic" || Summary.last2 path = [ "Retry_loop"; "run" ]
+   the Stm_intf.S signature use the name). *)
+let is_tx_entry path = List.nth path (List.length path - 1) = "atomic"
 
 let last_nolabel_arg (args : (Asttypes.arg_label * Parsetree.expression) list)
     =

@@ -25,8 +25,8 @@
       without re-raising.  Engines must let a simulated crash unwind the
       whole stack so the orphan-lock recovery layer sees the same state
       a real domain death would leave.
-    - {b tx-escape}: a transaction body (the thunk passed to [atomic] or
-      [Retry_loop.run]) mentions, or transitively reaches through the
+    - {b tx-escape}: a transaction body (the thunk passed to [atomic])
+      mentions, or transitively reaches through the
       call graph, an escape hatch — even an annotated one: annotations
       sanction {e non-transactional} use only.
     - {b tx-swallow}: a transaction body transitively reaches a

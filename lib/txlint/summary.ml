@@ -1,7 +1,7 @@
 (* Transitive effect summaries, computed to fixpoint over the call graph
    (DESIGN.md §5i).
 
-   Four effects per indexed function:
+   Three effects per indexed function:
 
    - [escapes]: reaches an escape hatch ([peek] / [unsafe_write] /
      [unsafe_preload]), either by *being* one (the definition, or a
@@ -13,10 +13,6 @@
      re-raise — a helper that would turn a doomed transaction into a
      zombie when called from a transaction body.
    - [swallows_crash]: likewise for the raise-at-point fault exceptions.
-   - [acquires_lock]: reaches a lock-acquire primitive
-     ([Vlock.try_lock]/[try_lock_save], which boosting's abstract
-     locks use too, [Wset.lock_all]/[lock_one], [Serial.enter],
-     [Mutex.lock]).
 
    Each present effect carries a witness chain (who was called to reach
    the primitive) used verbatim in finding messages.  Effects only ever
@@ -24,10 +20,11 @@
 
 let escape_names = [ "peek"; "unsafe_write"; "unsafe_preload" ]
 
-(* Lock-acquire primitives, matched on the last two path components of a
-   qualified mention.  Bare-name calls that *resolve* to one of these
-   (or to a wrapper around one, like boosting's [acquire]) inherit the
-   effect through propagation instead. *)
+(* Lock-acquire primitives ([Vlock.try_lock]/[try_lock_save], which
+   boosting's abstract locks use too, [Wset.lock_all]/[lock_one],
+   [Serial.enter], [Mutex.lock]), matched on the last two path components
+   of a qualified mention.  The lock-release check reads direct mentions
+   only. *)
 let acquire_primitives =
   [
     [ "Vlock"; "try_lock" ];
@@ -47,7 +44,6 @@ type eff = {
   mutable escapes : string list option;
   mutable swallows_abort : string list option;
   mutable swallows_crash : string list option;
-  mutable acquires_lock : string list option;
 }
 
 type t = {
@@ -86,20 +82,18 @@ let scope_of (e : Index.entry) =
   match List.rev e.path with _ :: tl -> List.rev tl | [] -> []
 
 (* Transaction entry points are {e barriers}: effects never propagate
-   through a call to [atomic] or [Retry_loop.run].  The engine's commit
+   through a call to [atomic].  The engine's commit
    path legitimately ends in [Tvar.unsafe_write] (that is where writes
    install) and [Serial.enter] — reaching those *through the engine* is
    safe by construction, and without the barrier every function that
    runs a transaction would summarize as escaping. *)
-let is_barrier (e : Index.entry) =
-  e.name = "atomic" || last2 e.path = [ "Retry_loop"; "run" ]
+let is_barrier (e : Index.entry) = e.name = "atomic"
 
 let compute (idx : Index.t) : t =
   let n = Array.length idx.Index.entries in
   let effs =
     Array.init n (fun _ ->
-        { escapes = None; swallows_abort = None; swallows_crash = None;
-          acquires_lock = None })
+        { escapes = None; swallows_abort = None; swallows_crash = None })
   in
   (* Edges: entry id -> resolved callee ids (deduped); built once. *)
   let callees = Array.make n [] in
@@ -112,13 +106,14 @@ let compute (idx : Index.t) : t =
       List.iter
         (fun (m : Callgraph.mention) ->
           let final = List.nth m.m_path (List.length m.m_path - 1) in
-          if List.length m.m_path >= 2 && List.mem final escape_names then
+          if
+            List.length m.m_path >= 2
+            && List.mem final escape_names
+            && eff.escapes = None
+          then
             (* Qualified escape mention: dangerous whether or not the
                module resolves (functor parameters, foreign modules). *)
-            (if eff.escapes = None then
-               eff.escapes <- Some [ Index.join m.m_path ]);
-          if is_acquire_path m.m_path && eff.acquires_lock = None then
-            eff.acquires_lock <- Some [ Index.join m.m_path ])
+            eff.escapes <- Some [ Index.join m.m_path ])
         ms;
       let swa, swc = local_swallows e.body in
       if swa then eff.swallows_abort <- Some [];
@@ -169,8 +164,7 @@ let compute (idx : Index.t) : t =
         in
         pull (fun e -> e.escapes) (fun e v -> e.escapes <- v);
         pull (fun e -> e.swallows_abort) (fun e v -> e.swallows_abort <- v);
-        pull (fun e -> e.swallows_crash) (fun e v -> e.swallows_crash <- v);
-        pull (fun e -> e.acquires_lock) (fun e v -> e.acquires_lock <- v))
+        pull (fun e -> e.swallows_crash) (fun e v -> e.swallows_crash <- v))
       callees.(i);
     if !changed then List.iter enqueue callers.(i)
   done;

@@ -1,6 +1,7 @@
 (* Property coverage for the contention-management plumbing that every
-   STM shares: the randomised exponential backoff and the outermost retry
-   loop.  Previously only exercised indirectly through the engines. *)
+   STM shares: the randomised exponential backoff and the top-level retry
+   policy of the attempt bracket ([Attempt.Make]), run here around a stub
+   engine that tracks nothing. *)
 
 open Stm_core
 
@@ -68,8 +69,41 @@ let test_backoff_simulated_yields () =
           Alcotest.(check int) "one scheduling point per wait" 5 !yields))
 
 (* ------------------------------------------------------------------ *)
-(* Retry_loop                                                          *)
+(* Retry policy                                                        *)
 (* ------------------------------------------------------------------ *)
+
+module Stub_engine = struct
+  type ctx = unit
+  type scratch = unit
+
+  let stats = Stats.create ()
+  let create_scratch () = ()
+  let clear_scratch () = ()
+  let start () _ ~owner:_ ~rec_state:_ = ()
+  let commit () = ()
+  let abort () = ()
+  let forget () = ()
+  let rec_state () = None
+  let tx_id () = 0
+  let enter () _ ~tx:_ = ()
+  let validate_child () = ()
+  let merge ~parent:_ ~parent_tx:_ () = ()
+end
+
+module Stub = Attempt.Make (Stub_engine)
+
+(* The stub's statistics, zeroed for a fresh case. *)
+let fresh_stats () =
+  Stats.reset Stub_engine.stats;
+  Stub_engine.stats
+
+(* One top-level transaction of the stub; [f] receives the attempt number
+   (0 on the first try). *)
+let run f =
+  let n = ref (-1) in
+  Stub.atomic Stm_intf.Regular (fun () ->
+      incr n;
+      f ~attempt:!n)
 
 let with_retry_cap cap f =
   let saved = !Runtime.retry_cap in
@@ -98,10 +132,10 @@ let count_yields f =
 
 let test_retry_first_attempt_commits () =
   simulated (fun () ->
-      let stats = Stats.create () in
+      let stats = fresh_stats () in
       let seen_attempt = ref (-1) in
       let result =
-        Retry_loop.run ~stats (fun ~attempt ->
+        run (fun ~attempt ->
             seen_attempt := attempt;
             "done")
       in
@@ -113,10 +147,10 @@ let test_retry_first_attempt_commits () =
 
 let test_retry_counts_aborts () =
   simulated (fun () ->
-      let stats = Stats.create () in
+      let stats = fresh_stats () in
       let attempts = ref [] in
       let result =
-        Retry_loop.run ~stats (fun ~attempt ->
+        run (fun ~attempt ->
             attempts := attempt :: !attempts;
             if attempt < 3 then Control.abort_tx Control.Lock_contention;
             attempt)
@@ -135,13 +169,13 @@ let test_retry_cap_starvation () =
   simulated (fun () ->
       with_starvation_mode `Raise (fun () ->
           with_retry_cap 7 (fun () ->
-              let stats = Stats.create () in
+              let stats = fresh_stats () in
               let calls = ref 0 in
               Alcotest.check_raises "starvation after the cap"
                 (Control.Starvation "transaction exceeded retry cap")
                 (fun () ->
                   ignore
-                    (Retry_loop.run ~stats (fun ~attempt:_ ->
+                    (run (fun ~attempt:_ ->
                          incr calls;
                          Control.abort_tx Control.Validation_failed)));
               (* attempts 0..7 ran, the cap refused an eighth retry *)
@@ -159,10 +193,10 @@ let test_retry_cap_fallback_commits () =
   simulated (fun () ->
       with_starvation_mode `Fallback (fun () ->
           with_retry_cap 3 (fun () ->
-              let stats = Stats.create () in
+              let stats = fresh_stats () in
               let calls = ref 0 in
               let result =
-                Retry_loop.run ~stats (fun ~attempt:_ ->
+                run (fun ~attempt:_ ->
                     incr calls;
                     if Runtime.Serial.mine () then "serial-commit"
                     else Control.abort_tx Control.Validation_failed)
@@ -189,11 +223,10 @@ let test_no_backoff_before_escalation () =
   simulated (fun () ->
       with_starvation_mode `Fallback (fun () ->
           with_retry_cap 2 (fun () ->
-              let stats = Stats.create () in
               let yields =
                 count_yields (fun () ->
                     ignore
-                      (Retry_loop.run ~stats (fun ~attempt:_ ->
+                      (run (fun ~attempt:_ ->
                            if Runtime.Serial.mine () then ()
                            else Control.abort_tx Control.Lock_contention)))
               in
@@ -207,12 +240,12 @@ let test_timeout_expires () =
       with_starvation_mode `Fallback (fun () ->
           with_retry_cap 1 (fun () ->
               with_timeout_ns 200_000 (fun () ->
-                  let stats = Stats.create () in
+                  let stats = fresh_stats () in
                   Alcotest.check_raises "deadline surfaces as Timeout"
                     (Control.Timeout "transaction deadline expired")
                     (fun () ->
                       ignore
-                        (Retry_loop.run ~stats (fun ~attempt:_ ->
+                        (run (fun ~attempt:_ ->
                              Control.abort_tx Control.Validation_failed)));
                   Alcotest.(check bool) "token released after timeout" false
                     (Runtime.Serial.active ());
@@ -230,13 +263,13 @@ let test_deadline_from_first_attempt () =
       with_starvation_mode `Raise (fun () ->
           with_retry_cap 10_000 (fun () ->
               with_timeout_ns budget_ns (fun () ->
-                  let stats = Stats.create () in
+                  let stats = fresh_stats () in
                   let calls = ref 0 in
                   Alcotest.check_raises "Timeout, not Starvation"
                     (Control.Timeout "transaction deadline expired")
                     (fun () ->
                       ignore
-                        (Retry_loop.run ~stats (fun ~attempt:_ ->
+                        (run (fun ~attempt:_ ->
                              incr calls;
                              let t0 = Mclock.now_ns () in
                              while Mclock.elapsed_ns t0 < budget_ns / 10 do
@@ -250,21 +283,25 @@ let test_deadline_from_first_attempt () =
                   Alcotest.(check int) "no starvation" 0 s.Stats.starvations))))
 
 (* A transaction that commits first time creates no backoff state, so it
-   draws no transaction id for a seed; the first abort draws exactly one. *)
+   draws no transaction id for a seed; the first abort draws exactly one.
+   Every attempt draws its owner id: count the ids drawn beyond those. *)
 let test_lazy_backoff_state () =
   simulated (fun () ->
-      let stats = Stats.create () in
+      let attempts = ref 0 in
       let ids_drawn f =
+        attempts := 0;
         let before = Runtime.fresh_tx_id () in
         f ();
-        Runtime.fresh_tx_id () - before - 1
+        Runtime.fresh_tx_id () - before - 1 - !attempts
       in
       Alcotest.(check int) "first-try commit draws no id" 0
-        (ids_drawn (fun () -> Retry_loop.run ~stats (fun ~attempt:_ -> ())));
+        (ids_drawn (fun () -> run (fun ~attempt:_ -> incr attempts)));
       Alcotest.(check int) "three aborts draw one id" 1
         (ids_drawn (fun () ->
-             Retry_loop.run ~stats (fun ~attempt ->
-                 if attempt < 3 then Control.abort_tx Control.Lock_contention))))
+             run (fun ~attempt ->
+                 incr attempts;
+                 if attempt < 3 then
+                   Control.abort_tx Control.Lock_contention))))
 
 (* ------------------------------------------------------------------ *)
 (* Mclock                                                              *)
@@ -295,10 +332,10 @@ let test_mclock_elapsed () =
 
 let test_retry_user_exception_passes_through () =
   simulated (fun () ->
-      let stats = Stats.create () in
+      let stats = fresh_stats () in
       Alcotest.check_raises "user exceptions are not retried"
         (Failure "boom") (fun () ->
-          ignore (Retry_loop.run ~stats (fun ~attempt:_ -> failwith "boom")));
+          ignore (run (fun ~attempt:_ -> failwith "boom")));
       let s = Stats.snapshot stats in
       Alcotest.(check (pair int int)) "neither commit nor abort recorded"
         (0, 0)

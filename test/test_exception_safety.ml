@@ -92,7 +92,7 @@ module Make (S : Stm_intf.S) = struct
                S.read ctx tv)))
 
   (* Force escalation into the serial fallback, then blow up inside the
-     irrevocable attempt: [Retry_loop.escalate]'s [Fun.protect] must
+     irrevocable attempt: [Attempt]'s escalation [Fun.protect] must
      release the token on the way out. *)
   let test_serial_fallback_releases_token () =
     with_deadline (fun () ->
@@ -262,4 +262,114 @@ module Boost_exn = struct
         `Quick test_user_exception_in_body ]
 end
 
-let suite = Oe_exn.cases @ Tl2_exn.cases @ View_exn.cases @ Boost_exn.cases
+(* The top-level bracket's cleanup contract (DESIGN.md 5k), over the four
+   ways an attempt ends: commit, an abort then a commit on retry, a user
+   exception, and a simulated crash.  Each run has recovery on, fault
+   injection on at rate 0 and, for the tvar engines, a WAL open.  After
+   each outcome: no transaction is current, the fault window is closed (a
+   schedule point outside any attempt injects nothing even at abort rate
+   1.0), no registry slot is live (and the crashed one is dead), and the
+   WAL holds one record per commit and none otherwise. *)
+module Bracket = struct
+  type outcome = Commit | Abort_then_commit | User_exn | Crash
+
+  let outcome_name = function
+    | Commit -> "commit"
+    | Abort_then_commit -> "abort then commit"
+    | User_exn -> "user exception"
+    | Crash -> "crash"
+
+  (* The body of every run: [touch] does the engine's work, then the
+     outcome is forced.  A crash is armed at the first schedule point. *)
+  let body outcome ~tries touch =
+    incr tries;
+    touch ();
+    match outcome with
+    | Abort_then_commit when !tries = 1 -> Control.abort_tx Control.Explicit
+    | User_exn -> raise Foo
+    | Commit | Abort_then_commit | Crash -> ()
+
+  module type TVAR_ENGINE = Stm_intf.S with type 'a tvar = 'a Tvar.t
+
+  let tvar_engine (module S : TVAR_ENGINE) =
+    let run outcome =
+      let p = Persist.Ptvar.make ~id:0 ~codec:Persist.Codec.int 0 in
+      let tv = Persist.Ptvar.tvar p in
+      let tries = ref 0 in
+      S.atomic (fun ctx ->
+          body outcome ~tries (fun () -> S.write ctx tv (S.read ctx tv + 1)))
+    in
+    (S.name, S.in_transaction, run, true)
+
+  let boost_engine =
+    let run outcome =
+      let s = Boost_exn.BSet.create ~stripes:Boost_exn.stripes () in
+      let tries = ref 0 in
+      Boosting.atomic (fun _ ->
+          body outcome ~tries (fun () ->
+              ignore (Boost_exn.BSet.add s Boost_exn.ka)))
+    in
+    ("boosting", Boosting.in_transaction, run, false)
+
+  let engines =
+    [ tvar_engine (module Oestm.Oe); tvar_engine (module Classic_stm.Tl2);
+      boost_engine ]
+
+  let check_one (name, in_transaction, run, durable) outcome =
+    let label what =
+      Printf.sprintf "%s, %s: %s" name (outcome_name outcome) what
+    in
+    let path = Filename.temp_file "bracket" ".wal" in
+    let recovery = Recovery.enabled () in
+    Persist.reset_for_testing ();
+    Faults.reset_counts ();
+    Faults.enable Faults.default;
+    if not recovery then Recovery.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Faults.disarm ();
+        Faults.disable ();
+        if not recovery then Recovery.disable ();
+        Persist.reset_for_testing ();
+        Sys.remove path)
+      (fun () ->
+        if durable then Persist.enable ~path ();
+        if outcome = Crash then Faults.arm_crash_after ~points:1;
+        (match run outcome with
+        | () ->
+          if outcome = User_exn || outcome = Crash then
+            Alcotest.fail (label "the outcome did not escape")
+        | exception Foo when outcome = User_exn -> ()
+        | exception Control.Crashed when outcome = Crash -> ());
+        Faults.disarm ();
+        Alcotest.(check bool) (label "no transaction current") false
+          (in_transaction ());
+        Alcotest.(check int) (label "no live registry slot") 0
+          (Registry.live_count ());
+        if outcome = Crash then
+          Alcotest.(check string) (label "the crashed slot is dead") "dead"
+            (Registry.status_name
+               (Registry.domain_status ~lease_ns:(Recovery.lease_ns ())
+                  ~domain:(Runtime.current_proc ())));
+        if durable then
+          Alcotest.(check int) (label "WAL records")
+            (match outcome with
+            | Commit | Abort_then_commit -> 1
+            | User_exn | Crash -> 0)
+            (Persist.appended_records ());
+        Faults.enable { Faults.default with spurious_abort = 1.0 };
+        Runtime.schedule_point ();
+        Alcotest.(check int) (label "fault window closed") 0
+          (Faults.count Faults.Spurious_abort))
+
+  let outcomes = [ Commit; Abort_then_commit; User_exn; Crash ]
+  let test () = List.iter (fun e -> List.iter (check_one e) outcomes) engines
+
+  let cases =
+    [ Alcotest.test_case "bracket: every way an attempt ends cleans up"
+        `Quick test ]
+end
+
+let suite =
+  Oe_exn.cases @ Tl2_exn.cases @ View_exn.cases @ Boost_exn.cases
+  @ Bracket.cases
