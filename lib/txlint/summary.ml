@@ -82,11 +82,11 @@ let scope_of (e : Index.entry) =
   match List.rev e.path with _ :: tl -> List.rev tl | [] -> []
 
 (* Transaction entry points are {e barriers}: effects never propagate
-   through a call to [atomic].  The engine's commit
-   path legitimately ends in [Tvar.unsafe_write] (that is where writes
-   install) and [Serial.enter] — reaching those *through the engine* is
-   safe by construction, and without the barrier every function that
-   runs a transaction would summarize as escaping. *)
+   through a call to [atomic].  The engine's commit path legitimately
+   ends in [Tvar.unsafe_write] (that is where writes install) and
+   [Serial.enter] — reaching those *through the engine* is safe by
+   construction, and without the barrier every function that runs a
+   transaction would summarize as escaping. *)
 let is_barrier (e : Index.entry) = e.name = "atomic"
 
 let compute (idx : Index.t) : t =
