@@ -229,10 +229,16 @@ end = struct
         ctx.w0 <- Some entry
       end
       else begin
+        (* Tracked before any extension, so the extension's rescan covers
+           this read too: its value was read before [rv] moves, and only a
+           stamp still unchanged at the rescan shows it current at the new
+           [rv].  Pushed after, a location rewritten between the read and
+           the extension's clock load would pair an old value with newer
+           ones (a torn snapshot). *)
+        Rwsets.Rset.push ctx.rset_snap entry;
         let seen = Vlock.version_of s in
         if seen > root.rv then extend_or_abort ctx ~seen;
-        Txrec.acquire root.rec_state ~pe;
-        Rwsets.Rset.push ctx.rset_snap entry
+        Txrec.acquire root.rec_state ~pe
       end;
       (* Sanitizer strict-opacity mode: revalidate everything this
          transaction still tracks (window included) at every read, so

@@ -297,10 +297,55 @@ let test_policy_table () =
           (too_new_aborts stm > aborts0 && !attempts >= 2))
     policy_rows
 
+(* A too-new read extends the snapshot to the clock value loaded after the
+   read, so the rescan must cover that read itself.  Another engine commits
+   [a, b := 1, 1] before the first read, then [a, b := 2, 2] at the
+   extension's clock load (the traced [Clock.now]); the reader must not
+   return the old [b] with the new [a]. *)
+let test_extension_covers_its_read () =
+  List.iter
+    (fun ((module S : TVAR_STM), _, _) ->
+      let (module W : TVAR_STM) =
+        if S.name = Oestm.Oe.name then (module Classic_stm.Tl2 : TVAR_STM)
+        else (module Oestm.Oe)
+      in
+      let a = S.tvar 0 and b = S.tvar 0 in
+      let commit v = W.atomic (fun c -> W.write c a v; W.write c b v) in
+      let armed = ref false and attempts = ref 0 in
+      let hook = function
+        | Runtime.Read pe when !armed && pe = Runtime.clock_pe ->
+          armed := false;
+          commit 2
+        | _ -> ()
+      in
+      let prev = !Runtime.trace_hook in
+      Runtime.trace_hook := hook;
+      Runtime.tracing := true;
+      let seen =
+        Fun.protect
+          ~finally:(fun () ->
+            Runtime.tracing := false;
+            Runtime.trace_hook := prev)
+          (fun () ->
+            S.atomic (fun ctx ->
+                incr attempts;
+                if !attempts = 1 then begin
+                  commit 1;
+                  armed := true
+                end;
+                let y = S.read ctx b in
+                let x = S.read ctx a in
+                (x, y)))
+      in
+      Alcotest.(check (pair int int)) (S.name ^ ": one snapshot") (2, 2) seen)
+    policy_rows
+
 let suites =
   [ ("stm:policy",
      [ Alcotest.test_case "policy table of the seven tvar instances" `Quick
-         test_policy_table ]);
+         test_policy_table;
+       Alcotest.test_case "an extension revalidates the read behind it"
+         `Quick test_extension_covers_its_read ]);
     ("stm:TL2", Tl2_battery.suite);
     ("stm:LSA", Lsa_battery.suite);
     ("stm:SwissTM", Swiss_battery.suite);
