@@ -232,9 +232,7 @@ end = struct
         (* Tracked before any extension, so the extension's rescan covers
            this read too: its value was read before [rv] moves, and only a
            stamp still unchanged at the rescan shows it current at the new
-           [rv].  Pushed after, a location rewritten between the read and
-           the extension's clock load would pair an old value with newer
-           ones (a torn snapshot). *)
+           [rv]. *)
         Rwsets.Rset.push ctx.rset_snap entry;
         let seen = Vlock.version_of s in
         if seen > root.rv then extend_or_abort ctx ~seen;
