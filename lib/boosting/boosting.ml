@@ -91,7 +91,7 @@ let acquire tx lock =
          giving up) check whether the holder is dead or stale, and steal
          the lock on its behalf if so. *)
       let stolen =
-        !Runtime.recovery
+        Option.is_some Runtime.plane.recovery
         && (n land 63 = 63 || n >= patience)
         && Recovery.try_steal_vlock lock
       in

@@ -430,7 +430,7 @@ let sanitizer_to_json () =
    "not running", not a zero count), otherwise the lease and the steal
    counters.  Additive — the schema version stays 2. *)
 let recovery_to_json () =
-  if not !Stm_core.Runtime.recovery then Null
+  if Option.is_none Stm_core.Runtime.plane.recovery then Null
   else
     let c = Stm_core.Stats.recovery_counters () in
     Obj
@@ -444,7 +444,7 @@ let recovery_to_json () =
    "not durable", not a zero count), otherwise the WAL configuration and
    the durable-commit counters.  Additive — the schema version stays 2. *)
 let durability_to_json () =
-  if not !Stm_core.Runtime.durability then Null
+  if not Stm_core.Runtime.plane.durable then Null
   else
     let c = Stm_core.Stats.durable_counters () in
     Obj

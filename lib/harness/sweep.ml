@@ -27,9 +27,9 @@ type point = {
 
 let run_point ?(detailed = false) (module T : Target.TARGET) ~cfg ~threads
     ~duration ~runs ~seed =
-  let was_detailed = Stm_core.Stats.detailed_enabled () in
-  Stm_core.Stats.set_detailed detailed;
-  let restore () = Stm_core.Stats.set_detailed was_detailed in
+  let saved = Stm_core.Runtime.save_plane () in
+  Stm_core.Runtime.plane.detailed <- detailed;
+  let restore () = Stm_core.Runtime.restore_plane saved in
   let one_run run_idx =
     T.setup cfg;
     T.reset_stats ();

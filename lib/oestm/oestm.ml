@@ -168,7 +168,7 @@ end = struct
      unnested transactions. *)
   let validate ctx =
     let ok = validate_levels ~owner:ctx.root.root_tx ctx in
-    if Stats.detailed_enabled () then
+    if Runtime.plane.detailed then
       Stats.record_validation_len stats
         (Rwsets.Rset.last_scan ctx.rset_snap
         + Rwsets.Rset.last_scan ctx.rset_prot);
@@ -206,11 +206,11 @@ end = struct
     let root = ctx.root in
     match Rwsets.Wset.find root.wset tv with
     | Some v ->
-      if Stats.detailed_enabled () then Stats.record_read_ws_hit stats;
+      if Runtime.plane.detailed then Stats.record_read_ws_hit stats;
       Txrec.read root.rec_state ~tx:ctx.tx_id ~pe:(Tvar.id tv) v;
       v
     | None ->
-      if Stats.detailed_enabled () then Stats.record_read_ws_miss stats;
+      if Runtime.plane.detailed then Stats.record_read_ws_miss stats;
       let s, v = Tvar.read_consistent tv in
       let pe = Tvar.id tv in
       let entry = { Rwsets.r_lock = tv.Tvar.lock; r_seen = s; r_pe = pe } in
@@ -241,7 +241,7 @@ end = struct
       (* Sanitizer strict-opacity mode: revalidate everything this
          transaction still tracks (window included) at every read, so
          inconsistent snapshots abort here rather than at commit. *)
-      if !Runtime.sanitizer then
+      if Option.is_some Runtime.plane.sanitizer then
         Sanitizer.on_tx_read ~validate:(fun () -> validate ctx);
       Txrec.read root.rec_state ~tx:ctx.tx_id ~pe v;
       v
@@ -391,12 +391,12 @@ end = struct
         Rwsets.Wset.unlock_all_restore wset;
         Control.abort_tx Control.Validation_failed
       end;
-      if !Runtime.sanitizer then
+      if Option.is_some Runtime.plane.sanitizer then
         Sanitizer.on_commit ~owner ~wv (iter_levels ctx);
       (* Last poison check while the locks are still held: a doomed victim
          must abort here, before installing over a stolen lock.  (The
          abort releases cleanly: CAS-based unlocks skip stolen entries.) *)
-      if !Runtime.recovery then begin
+      if Option.is_some Runtime.plane.recovery then begin
         try Recovery.check_poisoned ()
         with e ->
           Rwsets.Wset.unlock_all_restore wset;
@@ -406,10 +406,10 @@ end = struct
       (* Post-install: stage the durable entries for the WAL.  The attempt
          handler fires the record once this attempt's outcome is a
          definitive commit, and discards it if anything still aborts. *)
-      if !Runtime.durability then
+      if Runtime.plane.durable then
         Durable.stage ~wv (Rwsets.Wset.capture_durable wset)
     end;
-    if Stats.detailed_enabled () then
+    if Runtime.plane.detailed then
       Stats.record_rwset_sizes stats ~reads:(reads ctx)
         ~writes:(Rwsets.Wset.size wset)
 

@@ -95,13 +95,13 @@ let enable ?(sync_every = 1) ~path () =
   let w = Wal.open_log ~path ~sync_every ~sync_ns:0 in
   wal := Some w;
   Durable.commit_hook := append_staged w;
-  Runtime.durability := true
+  Runtime.plane.durable <- true
 
 let disable () =
   match !wal with
   | None -> ()
   | Some w ->
-    Runtime.durability := false;
+    Runtime.plane.durable <- false;
     Durable.commit_hook := (fun _ -> ());
     Wal.close w;
     wal := None

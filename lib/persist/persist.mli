@@ -57,7 +57,7 @@ end
 
 val enable : ?sync_every:int -> path:string -> unit -> unit
 (** Open (or append to) the WAL at [path], install the commit hook and
-    set [Runtime.durability].  [sync_every] (default 1): fsync once this
+    set [Runtime.plane.durable].  [sync_every] (default 1): fsync once this
     many records are pending — 1 is ack-before-return full durability;
     [<= 0] is the negative-control mode that never fsyncs.  Raises
     [Invalid_argument] if already enabled. *)

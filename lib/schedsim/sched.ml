@@ -94,25 +94,24 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
   in
   let current = ref (-1) in
   let saved_yield = !Runtime.yield_hook in
-  let saved_proc = !Runtime.proc_hook in
-  let saved_simulated = !Runtime.simulated in
-  let saved_tracing = !Runtime.tracing in
-  let saved_trace_hook = !Runtime.trace_hook in
+  let saved_plane = Runtime.save_plane () in
   let outer_tls = Runtime.save_all_tls () in
   let acc = ref [] in
-  Runtime.simulated := true;
+  (* Outside a step (between decisions, in unwind handlers) the process
+     is the caller's. *)
+  let outer_proc =
+    match saved_plane.sim with
+    | Some f -> f
+    | None -> fun () -> (Domain.self () :> int)
+  in
+  Runtime.plane.sim <-
+    Some (fun () -> if !current >= 0 then !current else outer_proc ());
   Runtime.reset_sim_ids ();
-  Runtime.tracing := true;
-  Runtime.trace_hook := (fun a -> acc := a :: !acc);
+  Runtime.plane.trace <- Some (fun a -> acc := a :: !acc);
   Runtime.yield_hook := (fun a -> Effect.perform (Yield a));
-  (Runtime.proc_hook :=
-     fun () -> if !current >= 0 then !current else saved_proc ());
   let restore_environment () =
     Runtime.yield_hook := saved_yield;
-    Runtime.proc_hook := saved_proc;
-    Runtime.simulated := saved_simulated;
-    Runtime.tracing := saved_tracing;
-    Runtime.trace_hook := saved_trace_hook;
+    Runtime.restore_plane saved_plane;
     Runtime.restore_all_tls outer_tls;
     current := -1
   in

@@ -7,8 +7,9 @@
     interleavings reproducible and enumerable — the paper's 64-hardware-
     thread concurrency, simulated exactly on one core.
 
-    While a simulation runs, the scheduler owns the runtime hooks
-    ({!Stm_core.Runtime.yield_hook}, [proc_hook], the access trace) and swaps
+    While a simulation runs, the scheduler owns
+    {!Stm_core.Runtime.yield_hook} and the [sim] and [trace] fields of
+    {!Stm_core.Runtime.plane}, restored however the run ends, and swaps
     each STM's thread-local state when switching processes, so transactions
     of different logical processes never bleed into each other.
 
@@ -16,7 +17,7 @@
     at the scheduling point, plus every shared access the STM machinery
     actually performed before the next scheduling point (lock stamps, clock
     reads/ticks, value installs), captured through
-    {!Stm_core.Runtime.trace_hook}.  The DPOR explorer consumes these to
+    the plane's [trace] hook.  The DPOR explorer consumes these to
     decide which steps commute. *)
 
 type outcome = {

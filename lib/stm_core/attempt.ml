@@ -111,12 +111,12 @@ end = struct
   let scratch = Domain.DLS.new_key E.create_scratch
 
   let fresh_scratch () =
-    if !Runtime.simulated then E.create_scratch ()
-    else begin
+    match Runtime.plane.sim with
+    | Some _ -> E.create_scratch ()
+    | None ->
       let s = Domain.DLS.get scratch in
       E.clear_scratch s;
       s
-    end
 
   let starvation_msg = "transaction exceeded retry cap"
 
@@ -139,8 +139,8 @@ end = struct
 
   (* The attempt no longer runs: unpublish it. *)
   let detach ~owner =
-    if !Runtime.sanitizer then Sanitizer.tx_end ~owner;
-    if !Runtime.recovery then Registry.clear ();
+    if Option.is_some Runtime.plane.sanitizer then Sanitizer.tx_end ~owner;
+    if Option.is_some Runtime.plane.recovery then Registry.clear ();
     Domain.DLS.set current None
 
   (* Close the fault window and audit the attempt's aborts: one that ended
@@ -158,7 +158,7 @@ end = struct
      retried and nothing reaches the write-ahead log. *)
   let fail ~fi ~san ~g0 =
     leave ~fi ~san ~g0 ~aborted:false;
-    if !Runtime.durability then Durable.discard_staged ()
+    if Runtime.plane.durable then Durable.discard_staged ()
 
   (* One top-level attempt and the one handler that ends it (DESIGN.md
      5k).  Publication precedes the body's first lock; [detach] follows
@@ -175,21 +175,21 @@ end = struct
       if not (Runtime.Serial.await_clear ~giveup ()) then timeout ()
     end;
     let t0 = if detailed then now () else 0 in
-    let fi = !Runtime.fault_injection in
-    let san = !Runtime.sanitizer in
+    let fi = Option.is_some Runtime.plane.faults in
+    let san = Option.is_some Runtime.plane.sanitizer in
     let g0 = if san then Control.abort_generation () else 0 in
     if fi then Faults.enter_attempt ();
     let owner = Runtime.fresh_tx_id () in
     let rec_state = Txrec.create () in
     let ctx = E.start (fresh_scratch ()) mode ~owner ~rec_state in
     Domain.DLS.set current (Some ctx);
-    if !Runtime.recovery then Registry.publish ~owner;
+    if Option.is_some Runtime.plane.recovery then Registry.publish ~owner;
     if san then Sanitizer.tx_begin ~owner;
     Txrec.begin_tx rec_state ~tx:owner;
     (* The commit itself can abort, so it runs inside the handler. *)
     match
       let result = f ctx in
-      if !Runtime.recovery then Recovery.check_poisoned ();
+      if Option.is_some Runtime.plane.recovery then Recovery.check_poisoned ();
       E.commit ctx;
       Txrec.commit_tx rec_state ~tx:owner;
       Txrec.release_remaining rec_state;
@@ -203,7 +203,7 @@ end = struct
          any) into the write-ahead log.  Post-outcome is the only safe
          point — an engine-side append could log an attempt that a later
          validation still aborts. *)
-      if !Runtime.durability then Durable.on_commit ();
+      if Runtime.plane.durable then Durable.on_commit ();
       if detailed then begin
         Stats.record_commit_latency E.stats (now () - t0);
         Stats.record_retry_depth E.stats n
@@ -215,15 +215,16 @@ end = struct
          attempt and mark the registry slot dead so contenders see a
          legitimate victim. *)
       E.forget ctx;
-      if !Runtime.recovery then Registry.mark_crashed ();
-      if !Runtime.sanitizer then Sanitizer.tx_crashed ~owner;
+      if Option.is_some Runtime.plane.recovery then Registry.mark_crashed ();
+      if Option.is_some Runtime.plane.sanitizer then
+        Sanitizer.tx_crashed ~owner;
       Domain.DLS.set current None;
       fail ~fi ~san ~g0;
       raise e
     | exception Control.Abort_tx reason ->
       rollback ctx rec_state ~owner;
       leave ~fi ~san ~g0 ~aborted:true;
-      if !Runtime.durability then Durable.discard_staged ();
+      if Runtime.plane.durable then Durable.discard_staged ();
       (* GV5 bumps the clock on aborts (no-op for GV1/GV4): a transaction
          that aborted on a lazily installed future version pulls the clock
          up so its next attempt's read stamp can cover that version. *)
@@ -278,9 +279,9 @@ end = struct
 
   let top mode f =
     (* Read once per transaction: a mid-transaction toggle may miss this
-       transaction, but the flags are only flipped between benchmark
+       transaction, but the flag is only flipped between benchmark
        phases. *)
-    let detailed = Stats.detailed_enabled () in
+    let detailed = Runtime.plane.detailed in
     let budget = !Runtime.tx_timeout_ns in
     let birth = match budget with None -> 0 | Some _ -> now () in
     attempt mode f 0 None false detailed budget birth

@@ -5,7 +5,7 @@
 
    The trace events are hoisted to module level so that a traced run does
    not allocate a constructor application per clock access, and an
-   untraced run pays exactly one load-and-branch. *)
+   untraced run pays exactly one load-and-branch on [Runtime.plane.trace]. *)
 
 let clock = Padding.atomic 0
 
@@ -20,7 +20,7 @@ let read_event = Runtime.Read Runtime.clock_pe
 let write_event = Runtime.Write Runtime.clock_pe
 
 let now () =
-  if !Runtime.tracing then Runtime.trace_access read_event;
+  (match Runtime.plane.trace with Some tr -> tr read_event | None -> ());
   Atomic.get clock
 
 let rec cas_max cell v =
@@ -46,7 +46,7 @@ let tick ?(floor = no_floor) () =
   (* Every policy is traced as a clock write, even GV5's read-only tick:
      a conservative annotation keeps the DPOR footprint (and thus the
      explored schedule set) identical across policies. *)
-  if !Runtime.tracing then Runtime.trace_access write_event;
+  (match Runtime.plane.trace with Some tr -> tr write_event | None -> ());
   match !Runtime.clock_policy with
   | Runtime.GV1 -> Atomic.fetch_and_add clock 1 + 1
   | Runtime.GV4 -> gv4_tick ~interference:ignore ()
@@ -58,7 +58,7 @@ let tick ?(floor = no_floor) () =
 
 let on_abort () =
   if !Runtime.clock_policy == Runtime.GV5 then begin
-    if !Runtime.tracing then Runtime.trace_access write_event;
+    (match Runtime.plane.trace with Some tr -> tr write_event | None -> ());
     Atomic.incr clock
   end
 
@@ -70,7 +70,7 @@ let on_abort () =
    saw so that its new snapshot covers it.  Traced as a clock write, like
    [tick] and [on_abort]. *)
 let catch_up v =
-  if !Runtime.tracing then Runtime.trace_access write_event;
+  (match Runtime.plane.trace with Some tr -> tr write_event | None -> ());
   cas_max clock v;
   cas_max gv5_high v
 

@@ -36,7 +36,8 @@ let abort_generation () = !(Domain.DLS.get abort_gen)
 let set_abort_generation n = Domain.DLS.get abort_gen := n
 
 let abort_tx r =
-  if !Runtime.sanitizer then incr (Domain.DLS.get abort_gen);
+  if Option.is_some Runtime.plane.sanitizer then
+    incr (Domain.DLS.get abort_gen);
   raise (Abort_tx r)
 
 let reason_to_string = function

@@ -46,7 +46,7 @@ exception Timeout of string
     serialises, until the transaction commits. *)
 
 val abort_tx : reason -> 'a
-(** Raise {!Abort_tx}.  While {!Runtime.sanitizer} is set, first bumps the
+(** Raise {!Abort_tx}.  While the sanitizer is on, first bumps the
     calling domain's {!abort_generation}, so the sanitizer can detect
     aborts that user code swallows before they reach the attempt's
     handler.  Code raising {!Abort_tx} directly is invisible to it. *)

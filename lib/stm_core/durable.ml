@@ -15,9 +15,8 @@
      transaction that did not happen);
    - the hook indirection [Persist.enable] installs into.
 
-   Everything here is guarded by [Runtime.durability] at the call sites,
-   so none of it costs more than a load and branch while durability is
-   off. *)
+   The call sites are guarded by [Runtime.plane.durable], so none of it
+   costs more than a load and branch while durability is off. *)
 
 type staged = {
   s_wv : int;  (** commit version of the installing transaction *)

@@ -6,7 +6,7 @@
     {!commit_hook} once the attempt's outcome is a definitive commit, and discards it on abort —
     so a WAL record is only ever appended for a transaction that
     happened, and always after its values are visible in memory.  All
-    call sites are guarded by {!Runtime.durability}. *)
+    call sites are guarded by [Runtime.plane.durable]. *)
 
 type staged = {
   s_wv : int;  (** commit version of the installing transaction *)

@@ -160,7 +160,7 @@ let eligible () =
 
 let spin_delay c =
   let spins = 1 + (draw () mod max 1 c.max_delay_spins) in
-  if not !Runtime.simulated then
+  if Option.is_none Runtime.plane.sim then
     for _ = 1 to spins do
       Domain.cpu_relax ()
     done
@@ -263,8 +263,7 @@ let arm kind ~points =
   let a = Domain.DLS.get armed_state in
   a.countdown <- points;
   a.armed_kind <- Some kind;
-  Runtime.fault_hook := point;
-  Runtime.fault_injection := true
+  Runtime.plane.faults <- Some point
 
 let arm_crash_after ~points = arm `Crash ~points
 let arm_raise_after ~points = arm `Raise ~points
@@ -277,12 +276,13 @@ let disarm () =
 let enable c =
   config := Some c;
   Atomic.set prng (mix c.seed);
-  Runtime.fault_hook := point;
-  Runtime.fault_injection := true
+  Runtime.plane.faults <- Some point
 
+(* Disarms the caller too: a one-shot left armed would otherwise fire at
+   the first eligible point after a later [enable] or [arm]. *)
 let disable () =
-  Runtime.fault_injection := false;
-  Runtime.fault_hook := (fun () -> ());
+  Runtime.plane.faults <- None;
+  disarm ();
   config := None
 
 let enabled () = Option.is_some !config

@@ -40,10 +40,13 @@ val parse : string -> config
 val to_string : config -> string
 
 val enable : config -> unit
-(** Install the injector (reseeding the PRNG from [config.seed]) and set
-    {!Runtime.fault_injection}. *)
+(** Install the injector (reseeding the PRNG from [config.seed]) in
+    [Runtime.plane.faults]. *)
 
 val disable : unit -> unit
+(** Clear [Runtime.plane.faults] and the configuration, and {!disarm}
+    the caller.  Other domains' one-shots stay armed but cannot fire. *)
+
 val enabled : unit -> bool
 val current : unit -> config option
 
@@ -72,7 +75,7 @@ val reset_counts : unit -> unit
 (** {1 Injection points} — called by the STM machinery. *)
 
 val point : unit -> unit
-(** The scheduling-point injector ({!Runtime.fault_hook}): may spin-delay
+(** The scheduling-point injector ([Runtime.plane.faults]): may spin-delay
     and may raise {!Control.Abort_tx} with reason {!Control.Injected}. *)
 
 val inject_lock_fail : unit -> bool
@@ -109,13 +112,13 @@ exception Injected_failure
 val arm_crash_after : points:int -> unit
 (** Deterministic one-shot, per domain: after [points] further eligible
     scheduling points on the calling domain, raise {!Control.Crashed}
-    (once).  Installs the fault hook even when no {!config} is active.
+    (once).  Installs the injector even when no {!config} is active.
     Raises [Invalid_argument] if [points <= 0]. *)
 
 val arm_raise_after : points:int -> unit
 (** Same, raising {!Injected_failure} instead. *)
 
 val disarm : unit -> unit
-(** Cancel the calling domain's armed one-shot, if any.  (A global
-    {!disable} also stops armed faults on every domain, by clearing
-    {!Runtime.fault_injection}.) *)
+(** Cancel the calling domain's armed one-shot, if any.  ({!disable}
+    does this for the caller and stops armed faults on every other domain
+    by clearing [Runtime.plane.faults].) *)

@@ -39,7 +39,7 @@ let lease = Atomic.make default_lease_ns
 
 let lease_ns () = Atomic.get lease
 
-let enabled () = !Runtime.recovery
+let enabled () = Option.is_some Runtime.plane.recovery
 
 let serial_reclaim () =
   let h = Runtime.Serial.holder_id () in
@@ -56,30 +56,28 @@ let serial_reclaim () =
       ignore (Registry.doom_domain ~domain:h);
       if Runtime.Serial.force_clear ~expected:h then begin
         Stats.record_orphan_steal ();
-        if !Runtime.sanitizer then
-          Runtime.sanitizer_event
+        match Runtime.plane.sanitizer with
+        | Some san ->
+          san
             (Runtime.San_steal
                { pe = Runtime.clock_pe; victim = h; version = None })
+        | None -> ()
       end
   end
 
 let enable ?lease_ns:(l = default_lease_ns) () =
   Atomic.set lease l;
-  Runtime.heartbeat_hook := Registry.heartbeat;
-  Runtime.serial_reclaim_hook := serial_reclaim;
-  Runtime.recovery := true
+  Runtime.plane.recovery <-
+    Some { Runtime.heartbeat = Registry.heartbeat; serial_reclaim }
 
-let disable () =
-  Runtime.recovery := false;
-  Runtime.heartbeat_hook := (fun () -> ());
-  Runtime.serial_reclaim_hook := (fun () -> ())
+let disable () = Runtime.plane.recovery <- None
 
 (* Steal one versioned lock observed held by a dead/stale owner.  [true]
    means the lock is now free (at a poisoned version) and the contender
    may retry its acquisition/read.  Never called under the deterministic
    scheduler: simulated runs have no real time, hence no leases. *)
 let try_steal_vlock lock =
-  (not !Runtime.simulated)
+  Option.is_none Runtime.plane.sim
   && begin
        let s = Vlock.stamp lock in
        Vlock.locked s
@@ -129,7 +127,7 @@ let try_steal_vlock lock =
    transaction aborts here instead of publishing values over locks it no
    longer holds. *)
 let check_poisoned () =
-  if !Runtime.recovery && Registry.poisoned () then begin
+  if Option.is_some Runtime.plane.recovery && Registry.poisoned () then begin
     Stats.record_poisoned_commit ();
     Control.abort_tx Control.Poisoned
   end

@@ -12,7 +12,7 @@
 
     Soundness rests on the lease being much longer than any honest
     lock-hold window — see DESIGN.md §5h.  Recovery is inert under the
-    deterministic scheduler ({!Runtime.simulated}): simulated time has no
+    deterministic scheduler ([Runtime.plane.sim]): simulated time has no
     leases. *)
 
 val default_lease_ns : int
@@ -20,8 +20,8 @@ val default_lease_ns : int
     system, short enough that a wedged workload recovers promptly. *)
 
 val enable : ?lease_ns:int -> unit -> unit
-(** Turn recovery on: sets {!Runtime.recovery}, installs the heartbeat and
-    serial-reclaim hooks, and records the lease (default
+(** Turn recovery on: installs the heartbeat and serial-reclaim hooks in
+    [Runtime.plane.recovery] and records the lease (default
     {!default_lease_ns}).  Locks taken before this call are reclaimable
     too, so call it while no transaction is in flight: one that started
     with recovery off has no registry slot, and its locks read as

@@ -32,8 +32,8 @@ val mark_crashed : unit -> unit
     locks remain attributed to a visibly-dead owner. *)
 
 val heartbeat : unit -> unit
-(** Refresh this domain's heartbeat; installed as
-    {!Runtime.heartbeat_hook} by {!Recovery.enable}. *)
+(** Refresh this domain's heartbeat; {!Recovery.enable} installs it as
+    the plane's recovery [heartbeat] ({!Runtime.recovery_hooks}). *)
 
 val poisoned : unit -> bool
 (** This domain's slot generation moved past the value snapshotted at

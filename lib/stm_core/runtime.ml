@@ -1,7 +1,4 @@
-(* Access annotations.  [Pure] claims the upcoming step touches no shared
-   state; the other constructors name the protection element about to be
-   accessed.  The deterministic scheduler uses them (together with the
-   dynamic trace hook below) to compute which steps commute. *)
+(* Access annotations (documented in runtime.mli). *)
 type access =
   | Pure
   | Read of int
@@ -10,80 +7,64 @@ type access =
 
 let clock_pe = -1
 
-let proc_hook = ref (fun () -> (Domain.self () :> int))
-let current_proc () = !proc_hook ()
+(* Transactional sanitizer events (documented in runtime.mli). *)
+type san_event =
+  | San_acquire of { pe : int; owner : int; version : int }
+  | San_release of { pe : int; owner : int; version : int option }
+  | San_unsafe_write of { pe : int; locked_owner : int option }
+  | San_peek of { pe : int }
+  | San_steal of { pe : int; victim : int; version : int option }
 
-(* Fault injection.  [Faults] installs its injector here; the flag keeps the
-   hot path at one load-and-branch while no faults are configured. *)
-let fault_injection = ref false
-let fault_hook : (unit -> unit) ref = ref (fun () -> ())
+(* The instrumentation plane: one field per cross-cutting concern, and a
+   concern is on iff its field holds its hook.  The record is allocated
+   once, so a guard is one load of a field and one branch, and a site
+   whose concern is off builds no event. *)
+type recovery_hooks = {
+  heartbeat : unit -> unit;
+  serial_reclaim : unit -> unit;
+}
+
+type plane = {
+  mutable sim : (unit -> int) option;
+  mutable trace : (access -> unit) option;
+  mutable faults : (unit -> unit) option;
+  mutable recovery : recovery_hooks option;
+  mutable sanitizer : (san_event -> unit) option;
+  mutable durable : bool;
+  mutable detailed : bool;
+}
+
+let plane =
+  { sim = None; trace = None; faults = None; recovery = None;
+    sanitizer = None; durable = false; detailed = false }
+
+let save_plane () = { plane with sim = plane.sim }
+
+let restore_plane p =
+  plane.sim <- p.sim;
+  plane.trace <- p.trace;
+  plane.faults <- p.faults;
+  plane.recovery <- p.recovery;
+  plane.sanitizer <- p.sanitizer;
+  plane.durable <- p.durable;
+  plane.detailed <- p.detailed
+
+let current_proc () =
+  match plane.sim with Some f -> f () | None -> (Domain.self () :> int)
 
 let yield_hook : (access -> unit) ref = ref (fun _ -> ())
 
-(* Crash-tolerant lock recovery.  [Recovery] installs its hooks here; the
-   flag keeps the hot path at one load-and-branch while recovery is off.
-   The heartbeat hook refreshes the current domain's registry slot at
-   every scheduling point; the serial-reclaim hook runs inside the
-   [Serial] spin loops so a token orphaned by a dead holder is eventually
-   CASed free. *)
-let recovery = ref false
-let heartbeat_hook : (unit -> unit) ref = ref (fun () -> ())
-let serial_reclaim_hook : (unit -> unit) ref = ref (fun () -> ())
-
-(* Durable commits.  [Persist] raises the flag while a write-ahead log is
-   open; [Attempt] consults it after every top-level outcome (fire the
-   staged record on commit, drop it on abort), so the hot path pays one
-   load-and-branch while durability is off.  The staging machinery itself
-   lives in [Durable] to keep this module dependency-free. *)
-let durability = ref false
+let[@inline] heartbeat_and_faults () =
+  (match plane.recovery with Some r -> r.heartbeat () | None -> ());
+  match plane.faults with Some f -> f () | None -> ()
 
 let schedule_point () =
-  if !recovery then !heartbeat_hook ();
-  if !fault_injection then !fault_hook ();
+  heartbeat_and_faults ();
   !yield_hook Pure
 
 let schedule_point_on a =
-  if !recovery then !heartbeat_hook ();
-  if !fault_injection then !fault_hook ();
+  heartbeat_and_faults ();
   !yield_hook a
-
-let simulated = ref false
-
-(* Dynamic access tracing.  While the deterministic scheduler runs, every
-   shared access performed by the STM machinery (versioned-lock stamps,
-   tvar stores, global-clock reads/ticks) reports itself
-   here, giving each scheduling step its exact footprint.  Off by default;
-   call sites guard on [tracing] so the hot path pays one load and branch,
-   and no allocation, when no scheduler is attached. *)
-let tracing = ref false
-let trace_hook : (access -> unit) ref = ref (fun _ -> ())
-let trace_access a = !trace_hook a
-
-(* Transactional sanitizer.  [Sanitizer] installs its event handler here;
-   the flag keeps every instrumented site (lock transitions, unsafe stores,
-   peeks) at one load-and-branch while the sanitizer is off.  Events name
-   the protection element; lock events also carry the owner and the version
-   observed at the transition so the sanitizer can check balance and
-   monotonicity without holding references into the lock itself. *)
-type san_event =
-  | San_acquire of { pe : int; owner : int; version : int }
-      (** a versioned lock was taken; [version] is the committed
-          version at acquisition time *)
-  | San_release of { pe : int; owner : int; version : int option }
-      (** a lock was dropped; [Some v] = released to a new version
-          (commit), [None] = restored (version unchanged) *)
-  | San_unsafe_write of { pe : int; locked_owner : int option }
-      (** a non-transactional store; [locked_owner] is the holder of the
-          element's lock at the store, if it was held *)
-  | San_peek of { pe : int }  (** a non-transactional read *)
-  | San_steal of { pe : int; victim : int; version : int option }
-      (** recovery reclaimed a lock held by [victim]; [Some v] = a
-          versioned lock stolen to poisoned version [v], [None] = the
-          serial token *)
-
-let sanitizer = ref false
-let sanitizer_hook : (san_event -> unit) ref = ref (fun _ -> ())
-let sanitizer_event e = !sanitizer_hook e
 
 (* Global-clock policy (see [Clock]).  Lives here, below the clock module
    itself, so that engines and the sanitizer can branch on the policy
@@ -118,13 +99,19 @@ module Serial = struct
     let h = Atomic.get holder in
     h < 0 || h = current_proc ()
 
-  let relax () = if !simulated then schedule_point () else Domain.cpu_relax ()
+  let relax () =
+    match plane.sim with
+    | Some _ -> schedule_point ()
+    | None -> Domain.cpu_relax ()
+
+  let reclaim () =
+    match plane.recovery with Some r -> r.serial_reclaim () | None -> ()
 
   let rec enter ?(giveup = fun () -> false) () =
     if Atomic.compare_and_set holder (-1) (current_proc ()) then true
     else if giveup () then false
     else begin
-      if !recovery then !serial_reclaim_hook ();
+      reclaim ();
       relax ();
       enter ~giveup ()
     end
@@ -146,7 +133,7 @@ module Serial = struct
     if h < 0 || h = current_proc () then true
     else if giveup () then false
     else begin
-      if !recovery then !serial_reclaim_hook ();
+      reclaim ();
       relax ();
       await_clear ~giveup ()
     end
@@ -186,12 +173,14 @@ let salted_id pools =
   sim_id_base + ((p + 1) * sim_id_stride) + !r
 
 let fresh_tx_id () =
-  if !simulated then salted_id sim_tx_pools
-  else Atomic.fetch_and_add tx_counter 1
+  match plane.sim with
+  | Some _ -> salted_id sim_tx_pools
+  | None -> Atomic.fetch_and_add tx_counter 1
 
 let fresh_tvar_id () =
-  if !simulated then salted_id sim_tvar_pools
-  else Atomic.fetch_and_add tvar_counter 1
+  match plane.sim with
+  | Some _ -> salted_id sim_tvar_pools
+  | None -> Atomic.fetch_and_add tvar_counter 1
 
 (* TLS registry.  Registration happens at module initialisation time (each
    STM registers once); save/restore run only under the single-domain

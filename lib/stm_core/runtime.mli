@@ -23,73 +23,6 @@ type access =
 val clock_pe : int
 (** Reserved protection-element id of the global version clock. *)
 
-val proc_hook : (unit -> int) ref
-(** Returns the id of the current logical process.  Default: domain id. *)
-
-val current_proc : unit -> int
-
-val yield_hook : (access -> unit) ref
-(** Called by STM implementations immediately before every shared access
-    (transactional read, write, lock acquisition, commit), annotated with
-    the access about to be performed.  Default: no-op.  The deterministic
-    scheduler installs its context switch here. *)
-
-val fault_injection : bool ref
-(** Owned by {!Faults}: set while a fault-injection configuration is
-    active.  Scheduling points consult it before calling {!fault_hook}, so
-    the uninstrumented hot path pays one load and branch. *)
-
-val fault_hook : (unit -> unit) ref
-(** The injector {!Faults} installs; invoked at every scheduling point
-    while {!fault_injection} is set.  May raise {!Control.Abort_tx}. *)
-
-val recovery : bool ref
-(** Owned by {!Recovery}: set while crash-tolerant lock recovery is
-    enabled.  Scheduling points consult it before calling
-    {!heartbeat_hook}, and the lock paths consult it before attempting an
-    orphan steal, so the hot path pays one load and branch while recovery
-    is off. *)
-
-val heartbeat_hook : (unit -> unit) ref
-(** Refreshes the current domain's {!Registry} heartbeat; installed by
-    {!Recovery.enable} and invoked at every scheduling point while
-    {!recovery} is set. *)
-
-val serial_reclaim_hook : (unit -> unit) ref
-(** Invoked inside the {!Serial} spin loops while {!recovery} is set, so a
-    token orphaned by a dead or stale holder is eventually reclaimed;
-    installed by {!Recovery.enable}. *)
-
-val durability : bool ref
-(** Owned by [Persist] (lib/persist): set while a write-ahead log is open.
-    Engines consult it after installing a write set (stage the serialized
-    entries with {!Durable.stage}) and {!Attempt.Make} consults it after
-    every top-level outcome (fire or discard the staged record), so the
-    hot path pays one load and branch while durability is off. *)
-
-val schedule_point : unit -> unit
-(** Invoke the yield hook with a {!Pure} annotation. *)
-
-val schedule_point_on : access -> unit
-(** Invoke the yield hook with the given annotation. *)
-
-val tracing : bool ref
-(** When set (by the deterministic scheduler), shared accesses performed by
-    the STM machinery report themselves to {!trace_access}.  Call sites
-    must guard on this flag so that non-simulated runs pay no allocation. *)
-
-val trace_hook : (access -> unit) ref
-(** Receiver of traced accesses; owned by the deterministic scheduler. *)
-
-val trace_access : access -> unit
-(** Report one shared access to the trace hook.  Callers are expected to
-    check {!tracing} first: [if !Runtime.tracing then Runtime.trace_access a]. *)
-
-val simulated : bool ref
-(** Set by the deterministic scheduler while a simulation runs.  Spin-wait
-    style delays (contention backoff) degenerate to scheduling points so
-    that simulated runs never burn cycles in [cpu_relax] loops. *)
-
 (** One shared-state event observed by the transactional sanitizer
     ({!Sanitizer}).  Lock events carry the owner and the committed version
     seen at the transition; stores and peeks name only the protection
@@ -107,17 +40,75 @@ type san_event =
           {!Vlock} (a tvar's lock or a boosting abstract lock) stolen to
           poisoned version [v]; [None]: the serial token *)
 
-val sanitizer : bool ref
-(** Owned by {!Sanitizer}: set while the sanitizer is enabled.
-    Instrumented sites consult it before building an event, so the
-    uninstrumented hot path pays one load and branch and no allocation. *)
+(** What {!Recovery.enable} installs: [heartbeat] refreshes the domain's
+    {!Registry} slot at every scheduling point; [serial_reclaim] runs in
+    the {!Serial} spin loops, so an orphaned token is reclaimed. *)
+type recovery_hooks = {
+  heartbeat : unit -> unit;
+  serial_reclaim : unit -> unit;
+}
 
-val sanitizer_hook : (san_event -> unit) ref
-(** The handler {!Sanitizer} installs; default no-op. *)
+(** The instrumentation plane: one field per cross-cutting concern, on iff
+    it holds its hook ([Some _], or [true] for the two flags).  Turning a
+    concern on or off is one field write.  {!plane} is allocated once, so
+    a guard is one load and one branch, and a site whose concern is off
+    builds no event.  Sites match on the options; closures are never
+    compared.
 
-val sanitizer_event : san_event -> unit
-(** Report one event to the sanitizer hook.  Callers are expected to check
-    {!sanitizer} first. *)
+    - [sim]: the deterministic scheduler's process-id function
+      ({!current_proc}).  While set, spin-waits yield, ids come from
+      per-process pools, and recovery and sanitizer checks are inert.
+    - [trace]: the scheduler's receiver of every shared access (lock
+      stamps, tvar stores, clock reads and ticks).
+    - [faults]: {!Faults.point}, called at every scheduling point.  Lock
+      acquisition and validation consult {!Faults} only while it is set.
+    - [recovery]: {!Recovery}'s hooks.  While set, lock paths may steal
+      orphans and attempts publish to the {!Registry}.
+    - [sanitizer]: {!Sanitizer}'s event handler.
+    - [durable]: a write-ahead log is open (lib/persist).  Engines stage
+      installed entries ({!Durable.stage}); {!Attempt.Make} fires or
+      discards them after each top-level outcome.
+    - [detailed]: detailed metrics ({!Stats.set_detailed}).  Read once
+      per transaction by {!Attempt.Make} (two clock reads per attempt when
+      on), and by the tvar engine at every transactional read (write-set
+      hit/miss counts), validation (scan length) and commit (set sizes):
+      a load and a branch at each when off. *)
+type plane = {
+  mutable sim : (unit -> int) option;
+  mutable trace : (access -> unit) option;
+  mutable faults : (unit -> unit) option;
+  mutable recovery : recovery_hooks option;
+  mutable sanitizer : (san_event -> unit) option;
+  mutable durable : bool;
+  mutable detailed : bool;
+}
+
+val plane : plane
+(** The process-wide plane.  Everything starts off. *)
+
+val save_plane : unit -> plane
+(** A copy of {!plane}'s fields, for {!restore_plane}. *)
+
+val restore_plane : plane -> unit
+(** Write every field of a saved copy back into {!plane}. *)
+
+val current_proc : unit -> int
+(** The id of the current logical process: [plane.sim]'s answer under
+    simulation, otherwise the domain id. *)
+
+val yield_hook : (access -> unit) ref
+(** Called by STM implementations immediately before every shared access
+    (transactional read, write, lock acquisition, commit), annotated with
+    the access about to be performed.  Default: no-op.  The deterministic
+    scheduler installs its context switch here.  Outside the plane: it is
+    called unconditionally at every scheduling point. *)
+
+val schedule_point : unit -> unit
+(** A scheduling point with a {!Pure} annotation: the recovery heartbeat
+    and the fault injector when they are on, then the yield hook. *)
+
+val schedule_point_on : access -> unit
+(** {!schedule_point} with the given annotation. *)
 
 (** Which global-version-clock algorithm {!Clock} runs (named after the
     TL2 implementation's GV1/GV4/GV5 variants):
@@ -176,7 +167,8 @@ module Serial : sig
 
   val enter : ?giveup:(unit -> bool) -> unit -> bool
   (** Spin until the token is acquired ([true]) or [giveup] returns [true]
-      ([false]).  Under {!simulated} the spin yields scheduling points. *)
+      ([false]).  Under simulation ([plane.sim]) the spin yields
+      scheduling points. *)
 
   val exit : unit -> unit
   (** Release the token if held by the current process. *)
@@ -203,7 +195,7 @@ val fresh_tvar_id : unit -> int
 (** Globally unique tvar / protection-element identifiers. *)
 
 val reset_sim_ids : unit -> unit
-(** Reset the per-process id pools used while {!simulated} is set.  Called
+(** Reset the per-process id pools used while [plane.sim] is set.  Called
     by the deterministic scheduler at the start of every run so that ids
     are a deterministic function of (process, allocation index) — a
     requirement for partial-order reduction: independent steps must

@@ -40,7 +40,8 @@ module Rset = struct
   let append_into ~src ~dst = Vec.append_into ~src:src.entries ~dst:dst.entries
 
   let validate t ~owner =
-    if !Runtime.fault_injection && Faults.inject_validation_fail () then false
+    if Option.is_some Runtime.plane.faults && Faults.inject_validation_fail ()
+    then false
     else begin
       let n = Vec.length t.entries in
       t.last_scan <- n;
@@ -185,7 +186,9 @@ module Wset = struct
          end
     in
     attempt ()
-    || (!Runtime.recovery && Recovery.try_steal_vlock lock && attempt ())
+    || (Option.is_some Runtime.plane.recovery
+       && Recovery.try_steal_vlock lock
+       && attempt ())
 
   let lock_all t ~owner =
     ensure_sorted t;
@@ -281,7 +284,7 @@ module Wset = struct
 
   (* Serialize the entries of registered persistent tvars.  Engines call
      this right after [install_and_unlock] (guarded on
-     [Runtime.durability]): [pending] is attempt-private, so it stays
+     [Runtime.plane.durable]): [pending] is attempt-private, so it stays
      valid after the locks are gone, and capturing post-install keeps the
      lock-holding window unchanged.  A [Poisoned] partial install aborts
      above and never reaches this point, so a WAL record always describes

@@ -104,5 +104,5 @@ module Wset : sig
       {!Durable} encoder, as [(persistent id, bytes)] pairs; [[]] when the
       set touches no persistent tvar.  Call right after
       {!install_and_unlock} (pending values are attempt-private and
-      outlive the locks), guarded on [Runtime.durability]. *)
+      outlive the locks), guarded on [Runtime.plane.durable]. *)
 end

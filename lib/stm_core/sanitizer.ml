@@ -102,13 +102,14 @@ let c_attempts_audited = Atomic.make 0
 let c_zombie_aborts = Atomic.make 0
 let c_steals = Atomic.make 0
 
-let enabled () = !Runtime.sanitizer
+let enabled () = Option.is_some Runtime.plane.sanitizer
 
 (* Checks are suppressed under the deterministic scheduler: simulated runs
    multiplex logical processes whose interleavings deliberately include
    states (peeks from evaluator closures, mid-schedule kills) that the
    discipline checks would misread as escapes. *)
-let active () = !Runtime.sanitizer && not !Runtime.simulated
+let active () =
+  Option.is_some Runtime.plane.sanitizer && Option.is_none Runtime.plane.sim
 
 (* Assumes [m] is held. *)
 let record_locked ~kind ~pe ~owner detail =
@@ -355,11 +356,9 @@ let reset () =
           c_unsafe_writes; c_peeks; c_attempts_audited; c_zombie_aborts;
           c_steals ])
 
-let enable () =
-  Runtime.sanitizer_hook := handle_event;
-  Runtime.sanitizer := true
+let enable () = Runtime.plane.sanitizer <- Some handle_event
 
-let disable () = Runtime.sanitizer := false
+let disable () = Runtime.plane.sanitizer <- None
 
 let violations () = with_m (fun () -> List.rev !kept)
 let violation_count () = Atomic.get total_violations

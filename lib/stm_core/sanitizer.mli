@@ -2,11 +2,11 @@
 
     A dynamic checker of the discipline the STM engines and their clients
     must follow for the paper's guarantees to hold.  Enabled with
-    {!enable} (and advertised through {!Runtime.sanitizer}), it receives:
+    {!enable} (its handler held in [Runtime.plane.sanitizer]), it receives:
 
     - lock-transition, non-transactional-store and peek events from the
       instrumented {!Vlock} (boosting's abstract locks are vlocks too)
-      and {!Tvar} (via {!Runtime.sanitizer_event});
+      and {!Tvar} (through the handler in the plane);
     - read/commit/lifecycle callbacks from the four engines;
     - an abort audit from the attempt handler ({!Attempt.Make}) after
       every attempt.
@@ -48,14 +48,14 @@
     because correct engines are allowed to run zombies as long as commit
     validation catches them.
 
-    All checks are suppressed while {!Runtime.simulated} is set: the
+    All checks are suppressed while [Runtime.plane.sim] is set: the
     deterministic scheduler's evaluator closures peek mid-schedule by
     design, and its kills unwind transactions at arbitrary points.
 
     {2 Overhead model}
 
     With the sanitizer off every instrumented site costs one load and
-    branch ([Runtime.sanitizer]).  Enabled, lock transitions, stores and
+    branch ([Runtime.plane.sanitizer]).  Enabled, lock transitions, stores and
     peeks each take a global mutex; transactional reads additionally
     revalidate the whole read set, making reads O(read-set size) — the
     usual sanitizer regime of roughly an order of magnitude on read-heavy
@@ -93,11 +93,11 @@ type checks = {
 }
 
 val enable : unit -> unit
-(** Install the event handler and set {!Runtime.sanitizer}.  Does not clear previously recorded state; call
-    {!reset} for a fresh run. *)
+(** Install the event handler in [Runtime.plane.sanitizer].  Does not
+    clear previously recorded state; call {!reset} for a fresh run. *)
 
 val disable : unit -> unit
-(** Clear {!Runtime.sanitizer}; recorded violations are kept. *)
+(** Clear [Runtime.plane.sanitizer]; recorded violations are kept. *)
 
 val enabled : unit -> bool
 
@@ -119,7 +119,7 @@ val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Engine-facing hooks}
 
-    Engines guard every call on [!Runtime.sanitizer] so the disabled cost
+    Engines guard every call on [Runtime.plane.sanitizer] so the disabled cost
     stays one load and branch. *)
 
 val tx_begin : owner:int -> unit

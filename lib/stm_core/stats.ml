@@ -6,13 +6,10 @@
    fresh id).  [snapshot] merges the shards, so the public interface is
    still one logical counter set per STM instance. *)
 
-(* Detailed metrics (latency histograms, footprints, retry depths) cost two
-   clock reads and a handful of atomic increments per transaction attempt,
-   so they sit behind this global flag: when it is off, the hot path pays a
-   single load-and-branch per transaction in Attempt and nothing else. *)
-let detailed = Atomic.make false
-let set_detailed b = Atomic.set detailed b
-let detailed_enabled () = Atomic.get detailed
+(* Detailed metrics (latency histograms, footprints, retry depths) sit
+   behind [Runtime.plane.detailed]; these are its accessors. *)
+let set_detailed b = Runtime.plane.detailed <- b
+let detailed_enabled () = Runtime.plane.detailed
 
 module Hist = struct
   (* Log-bucketed histogram over non-negative ints.  Bucket 0 counts the

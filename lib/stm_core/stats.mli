@@ -11,10 +11,8 @@
 
 (** {1 Detailed-metrics flag}
 
-    Latency histograms need two monotonic-clock reads per attempt, so they
-    are recorded only while the global flag is on.  When it is off the hot
-    path pays a single load-and-branch ({!Attempt.Make}, once per
-    transaction) and nothing else. *)
+    Accessors for [Runtime.plane.detailed], whose doc states what the flag
+    costs on and off. *)
 
 val set_detailed : bool -> unit
 val detailed_enabled : unit -> bool

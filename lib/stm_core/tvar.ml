@@ -23,7 +23,8 @@ let read_consistent tv =
   let rec go retried =
     let s1 = Vlock.stamp tv.lock in
     if Vlock.locked s1 then begin
-      if (not retried) && !Runtime.recovery && Recovery.try_steal_vlock tv.lock
+      if (not retried) && Option.is_some Runtime.plane.recovery
+         && Recovery.try_steal_vlock tv.lock
       then go true
       else Control.abort_tx Control.Read_locked
     end
@@ -37,18 +38,21 @@ let read_consistent tv =
   go false
 
 let peek tv =
-  if !Runtime.sanitizer then
-    Runtime.sanitizer_event (Runtime.San_peek { pe = tv.id });
+  (match Runtime.plane.sanitizer with
+  | Some san -> san (Runtime.San_peek { pe = tv.id })
+  | None -> ());
   tv.content
 
 let unsafe_write tv v =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Write tv.id);
-  if !Runtime.sanitizer then begin
+  (match Runtime.plane.trace with
+  | Some tr -> tr (Runtime.Write tv.id)
+  | None -> ());
+  (match Runtime.plane.sanitizer with
+  | Some san ->
     let s = Vlock.stamp tv.lock in
     let locked_owner =
       if Vlock.locked s then Some (Vlock.holder tv.lock) else None
     in
-    Runtime.sanitizer_event
-      (Runtime.San_unsafe_write { pe = tv.id; locked_owner })
-  end;
+    san (Runtime.San_unsafe_write { pe = tv.id; locked_owner })
+  | None -> ());
   tv.content <- v

@@ -5,7 +5,7 @@
 
    Every lock knows its protection-element id [pe] so that stamp loads and
    lock transitions can report themselves to the deterministic scheduler's
-   access trace (guarded on [Runtime.tracing]; free otherwise). *)
+   access trace ([Runtime.plane.trace]; one load and branch otherwise). *)
 
 type t = {
   stamp_cell : int Atomic.t;
@@ -32,8 +32,15 @@ let create ?(pe = no_pe) () =
 
 let pe t = t.pe
 
+(* The events are built inside the match: an untraced run allocates none. *)
+let[@inline] trace_read t =
+  match Runtime.plane.trace with Some tr -> tr (Runtime.Read t.pe) | None -> ()
+
+let[@inline] trace_lock t =
+  match Runtime.plane.trace with Some tr -> tr (Runtime.Lock t.pe) | None -> ()
+
 let stamp t =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Read t.pe);
+  trace_read t;
   Atomic.get t.stamp_cell
 
 let locked s = s land 1 = 1
@@ -58,16 +65,17 @@ let version_of s = s lsr 1
    the claim, so dooming and stealing can never target a stale
    predecessor. *)
 let try_lock_save t ~owner =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
-  if !Runtime.fault_injection && Faults.inject_lock_fail () then -1
+  trace_lock t;
+  if Option.is_some Runtime.plane.faults && Faults.inject_lock_fail () then -1
   else
   let s = Atomic.get t.stamp_cell in
   if locked s then -1
   else if Atomic.compare_and_set t.claim (-1) owner then begin
     if Atomic.compare_and_set t.stamp_cell s (s lor 1) then begin
-      if !Runtime.sanitizer then
-        Runtime.sanitizer_event
-          (Runtime.San_acquire { pe = t.pe; owner; version = s lsr 1 });
+      (match Runtime.plane.sanitizer with
+      | Some san ->
+        san (Runtime.San_acquire { pe = t.pe; owner; version = s lsr 1 })
+      | None -> ());
       s
     end
     else begin
@@ -84,7 +92,7 @@ let try_lock t ~owner = try_lock_save t ~owner >= 0
 let holder t = Atomic.get t.claim
 
 let locked_by t ~owner =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Read t.pe);
+  trace_read t;
   let s = Atomic.get t.stamp_cell in
   locked s && Atomic.get t.claim = owner
 
@@ -100,16 +108,18 @@ let locked_by t ~owner =
    the claim clear: no locker can take the lock while the claim is held,
    so no acquire event can overtake the release. *)
 let release t ~saved ~next ~restore =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
+  trace_lock t;
   let me = Atomic.get t.claim in
   let released = Atomic.compare_and_set t.stamp_cell (saved lor 1) next in
   if released then begin
-    if !Runtime.sanitizer then
-      Runtime.sanitizer_event
+    (match Runtime.plane.sanitizer with
+    | Some san ->
+      san
         (Runtime.San_release
            { pe = t.pe;
              owner = me;
-             version = (if restore then None else Some (version_of next)) });
+             version = (if restore then None else Some (version_of next)) })
+    | None -> ());
     ignore (Atomic.compare_and_set t.claim me (-1))
   end;
   released
@@ -140,16 +150,17 @@ let unlock_restore t =
    CAS — the caller must doom that holder too, since the exact-stamp CAS
    cannot distinguish the two histories. *)
 let steal t ~observed ~victim ~version =
-  if !Runtime.tracing then Runtime.trace_access (Runtime.Lock t.pe);
+  trace_lock t;
   if
     locked observed
     && Atomic.compare_and_set t.stamp_cell observed (version lsl 1)
   then begin
     (* Report before displacing the claim, for the same reason as
        [release] above. *)
-    if !Runtime.sanitizer then
-      Runtime.sanitizer_event
-        (Runtime.San_steal { pe = t.pe; victim; version = Some version });
+    (match Runtime.plane.sanitizer with
+    | Some san ->
+      san (Runtime.San_steal { pe = t.pe; victim; version = Some version })
+    | None -> ());
     Some (Atomic.exchange t.claim (-1))
   end
   else None

@@ -5,12 +5,13 @@
 
 open Stm_core
 
-(* Run [f] with the deterministic-scheduler flag set so Backoff.once does
-   not actually spin — these are semantic tests, not timing tests. *)
+(* Run [f] with the plane's simulation field set (to the domain's id) so
+   Backoff.once does not actually spin — these are semantic tests, not
+   timing tests. *)
 let simulated f =
-  let saved = !Runtime.simulated in
-  Runtime.simulated := true;
-  Fun.protect ~finally:(fun () -> Runtime.simulated := saved) f
+  let saved = Runtime.save_plane () in
+  Runtime.plane.sim <- Some (fun () -> (Domain.self () :> int));
+  Fun.protect ~finally:(fun () -> Runtime.restore_plane saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Backoff                                                             *)

@@ -165,12 +165,12 @@ let test_gv5_extension_catches_up () =
   let n = 2_000 in
   let tvs = Array.init n (fun _ -> S.tvar 0) in
   Array.iter (fun tv -> S.atomic (fun ctx -> S.write ctx tv 1)) tvs;
-  let was = Stats.detailed_enabled () in
-  Stats.set_detailed true;
+  let saved = Runtime.save_plane () in
+  Runtime.plane.detailed <- true;
   Stats.reset S.stats;
   let sum =
     Fun.protect
-      ~finally:(fun () -> Stats.set_detailed was)
+      ~finally:(fun () -> Runtime.restore_plane saved)
       (fun () ->
         S.atomic (fun ctx ->
             Array.fold_left (fun a tv -> a + S.read ctx tv) 0 tvs))
@@ -179,7 +179,7 @@ let test_gv5_extension_catches_up () =
      every read; those are not extension work. *)
   let validations =
     Stats.Hist.count (Stats.snapshot S.stats).Stats.validation_len
-    - if !Runtime.sanitizer then n else 0
+    - if Option.is_some Runtime.plane.sanitizer then n else 0
   in
   Alcotest.(check int) "reads every committed value" n sum;
   Alcotest.(check bool)

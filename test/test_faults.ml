@@ -138,6 +138,22 @@ let test_disabled_is_free () =
       Faults.disable ();
       Alcotest.(check bool) "current cleared" true (Faults.current () = None))
 
+(* [disable] disarms the caller's one-shot: a later [enable] (all rates
+   zero) must not fire a crash armed before the disable. *)
+let test_disable_disarms () =
+  in_sandbox (fun () ->
+      let module S = Oestm.Oe in
+      let tv = S.tvar 0 in
+      Faults.arm_crash_after ~points:1;
+      Faults.disable ();
+      Faults.enable Faults.default;
+      (match S.atomic (fun ctx -> S.write ctx tv 1) with
+      | () -> ()
+      | exception Control.Crashed ->
+        Alcotest.fail "a one-shot armed before [disable] fired");
+      Alcotest.(check int) "no crash recorded" 0
+        (Faults.count Faults.Crash_domain))
+
 let suite =
   [ Alcotest.test_case "spec parse round-trip" `Quick test_parse_roundtrip;
     Alcotest.test_case "spec parse errors" `Quick test_parse_errors;
@@ -150,4 +166,6 @@ let suite =
     Alcotest.test_case "scheduling-point aborts and counters" `Quick
       test_point_aborts_and_counts;
     Alcotest.test_case "disabled layer is inert" `Quick
-      test_disabled_is_free ]
+      test_disabled_is_free;
+    Alcotest.test_case "disable disarms the caller's one-shot" `Quick
+      test_disable_disarms ]

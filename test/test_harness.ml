@@ -207,6 +207,36 @@ let test_json_end_to_end () =
       (match R.member "sanitizer" json with
       | Some R.Null | Some (R.Obj _) -> true
       | _ -> false);
+    (* Recovery and durability are off here: both verdicts are null, and
+       objects once the plane has them on. *)
+    let verdict key json =
+      match R.member key json with
+      | Some R.Null -> `Null
+      | Some (R.Obj _) -> `Obj
+      | _ -> Alcotest.failf "%S is neither null nor an object" key
+    in
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (key ^ " null when off") true
+          (verdict key json = `Null))
+      [ "recovery"; "durability" ];
+    let wal = Filename.temp_file "test_harness" ".wal" in
+    let on =
+      Fun.protect
+        ~finally:(fun () ->
+          Stm_core.Recovery.disable ();
+          Persist.disable ();
+          Sys.remove wal)
+        (fun () ->
+          Stm_core.Recovery.enable ();
+          Persist.enable ~path:wal ();
+          R.report [ r ])
+    in
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (key ^ " an object when on") true
+          (verdict key on = `Obj))
+      [ "recovery"; "durability" ];
     let fig =
       match R.member "figures" json with
       | Some (R.List [ fig ]) -> fig

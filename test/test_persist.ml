@@ -164,7 +164,7 @@ let test_durability_off_is_noop () =
       let before = (Stats.durable_counters ()).Stats.durable_commits in
       let module S = Classic_stm.Tl2 in
       S.atomic (fun ctx -> S.write ctx (Persist.Ptvar.tvar a) 1);
-      Alcotest.(check bool) "flag stays down" false !Runtime.durability;
+      Alcotest.(check bool) "flag stays down" false Runtime.plane.durable;
       Alcotest.(check int) "no durable commit counted" before
         (Stats.durable_counters ()).Stats.durable_commits)
 

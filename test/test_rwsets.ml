@@ -241,7 +241,7 @@ let test_rset_clear_for_reuse () =
 (* Fault-injection coverage: [validate], the one validation entry point,
    must consult the injector. *)
 
-let test_validation_fault_injection () =
+let test_injected_validation_failure () =
   let saved = Faults.current () in
   Faults.enable { Faults.default with validation_fail = 1.0 };
   Faults.reset_counts ();
@@ -386,7 +386,7 @@ let suite =
     Alcotest.test_case "rset clear empties for reuse" `Quick
       test_rset_clear_for_reuse;
     Alcotest.test_case "validation fault injection covers all entry points"
-      `Quick test_validation_fault_injection;
+      `Quick test_injected_validation_failure;
     Alcotest.test_case "cleared wset releases tvar (gc)" `Quick
       test_wset_clear_releases_tvar;
     Alcotest.test_case "dpor verdicts unchanged by write-set lookups" `Slow

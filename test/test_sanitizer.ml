@@ -227,7 +227,7 @@ let test_broken_engine_commit_stale () =
 
 let test_lock_discipline_driven () =
   with_san (fun () ->
-      let ev e = Runtime.sanitizer_event e in
+      let ev = Option.get Runtime.plane.sanitizer in
       ev (Runtime.San_acquire { pe = 555; owner = 1; version = 3 });
       ev (Runtime.San_acquire { pe = 555; owner = 2; version = 3 });
       Alcotest.(check int) "double acquire caught" 1

@@ -80,6 +80,43 @@ let test_max_steps_kills () =
   Alcotest.(check (list int)) "spinner killed" [ 0 ] outcome.Sched.killed;
   Alcotest.(check bool) "not completed" false (Sched.completed outcome)
 
+(* A run leaves the instrumentation plane and the yield hook as it found
+   them, however it ends.  The closures are compared physically. *)
+let same_plane (a : Runtime.plane) (b : Runtime.plane) =
+  let same x y =
+    match (x, y) with
+    | None, None -> true
+    | Some f, Some g -> f == g
+    | _ -> false
+  in
+  same a.sim b.sim && same a.trace b.trace && same a.faults b.faults
+  && same a.recovery b.recovery && same a.sanitizer b.sanitizer
+  && a.durable = b.durable && a.detailed = b.detailed
+
+let test_plane_restored () =
+  let check name procs ~max_steps =
+    let plane = Runtime.save_plane () and yield = !Runtime.yield_hook in
+    let outcome, _ = Sched.run ~max_steps procs in
+    Alcotest.(check bool) (name ^ ": plane restored") true
+      (same_plane plane (Runtime.save_plane ()));
+    Alcotest.(check bool) (name ^ ": yield hook restored") true
+      (yield == !Runtime.yield_hook);
+    outcome
+  in
+  let step () = Runtime.schedule_point () in
+  let done_ = check "completes" [ step; step ] ~max_steps:100 in
+  Alcotest.(check bool) "completes: completed" true (Sched.completed done_);
+  let raised =
+    check "raises" [ (fun () -> step (); failwith "expected"); step ]
+      ~max_steps:100
+  in
+  Alcotest.(check int) "raises: one failure" 1
+    (List.length raised.Sched.failures);
+  let spin () = while true do step () done in
+  let cut = check "cut at max_steps" [ spin; spin ] ~max_steps:10 in
+  Alcotest.(check (list int)) "cut: both killed" [ 0; 1 ]
+    (List.sort compare cut.Sched.killed)
+
 (* STM transactions driven by the scheduler: increments from two logical
    processes must never be lost, whatever the interleaving. *)
 let counter_slot : (int, unit -> int) Hashtbl.t = Hashtbl.create 1
@@ -174,6 +211,8 @@ let suite =
     Alcotest.test_case "logical process ids" `Quick test_proc_ids;
     Alcotest.test_case "failure isolation" `Quick test_failure_isolated;
     Alcotest.test_case "max_steps kills spinners" `Quick test_max_steps_kills;
+    Alcotest.test_case "a run restores the plane and the yield hook" `Quick
+      test_plane_restored;
     Alcotest.test_case "explore: TL2 counter" `Slow
       (test_explore_counter (module Classic_stm.Tl2));
     Alcotest.test_case "explore: OE-STM counter" `Slow

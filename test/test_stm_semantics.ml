@@ -318,14 +318,11 @@ let test_extension_covers_its_read () =
           commit 2
         | _ -> ()
       in
-      let prev = !Runtime.trace_hook in
-      Runtime.trace_hook := hook;
-      Runtime.tracing := true;
+      let saved = Runtime.save_plane () in
+      Runtime.plane.trace <- Some hook;
       let seen =
         Fun.protect
-          ~finally:(fun () ->
-            Runtime.tracing := false;
-            Runtime.trace_hook := prev)
+          ~finally:(fun () -> Runtime.restore_plane saved)
           (fun () ->
             S.atomic (fun ctx ->
                 incr attempts;

@@ -140,11 +140,11 @@ let test_recorded_view_outheritance () =
 let test_footprint_recorded () =
   let k = 5 in
   let tvs = Array.init k V.tvar in
-  let saved = Stats.detailed_enabled () in
-  Stats.set_detailed true;
+  let saved = Runtime.save_plane () in
+  Runtime.plane.detailed <- true;
   Stats.reset V.stats;
   Fun.protect
-    ~finally:(fun () -> Stats.set_detailed saved)
+    ~finally:(fun () -> Runtime.restore_plane saved)
     (fun () ->
       ignore
         (V.atomic (fun ctx ->

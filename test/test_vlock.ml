@@ -36,7 +36,8 @@ let test_lock_unlock_to () =
 (* Every acquisition claims the lock, recovery on or off: the holder reads
    the locker while the lock is held and -1 once it is released. *)
 let test_holder_without_recovery () =
-  Alcotest.(check bool) "recovery is off" false !Runtime.recovery;
+  Alcotest.(check bool) "recovery is off" false
+    (Option.is_some Runtime.plane.recovery);
   let l = Vlock.create () in
   Alcotest.(check int) "unlocked: no holder" (-1) (Vlock.holder l);
   Alcotest.(check bool) "locked" true (Vlock.try_lock l ~owner:11);
@@ -127,6 +128,44 @@ let test_tvar_footprint () =
   Alcotest.(check int) "words reachable from one int tvar" 12
     (Obj.reachable_words (Obj.repr (Tvar.make 0)))
 
+(* With every plane field off, each instrumented guard is a load and a
+   branch and builds no event: the primitives the guards sit in allocate
+   nothing. *)
+let test_all_off_allocates_nothing () =
+  let saved = Runtime.save_plane () in
+  Runtime.restore_plane
+    { Runtime.sim = None; trace = None; faults = None; recovery = None;
+      sanitizer = None; durable = false; detailed = false };
+  Fun.protect ~finally:(fun () -> Runtime.restore_plane saved) @@ fun () ->
+  let n = 100_000 in
+  let l = Vlock.create ~pe:7 () and tv = Tvar.make 0 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0.
+        (words f -. overhead))
+    [ ("Vlock.stamp", fun () -> ignore (Vlock.stamp l));
+      ( "Vlock.try_lock/unlock_restore",
+        fun () ->
+          ignore (Vlock.try_lock l ~owner:1);
+          Vlock.unlock_restore l );
+      ("Clock.now", fun () -> ignore (Clock.now ()));
+      ("Clock.tick", fun () -> ignore (Clock.tick ()));
+      ( "Tvar.peek",
+        fun () ->
+          ignore
+            (Tvar.peek tv
+            [@txlint.allow "stm-escape"
+                "measures the hatch's own cost; no transaction runs"]) );
+      ("Runtime.schedule_point", Runtime.schedule_point) ]
+
 let suite =
   [ Alcotest.test_case "fresh unlocked" `Quick test_fresh_unlocked;
     Alcotest.test_case "tvar footprint" `Quick test_tvar_footprint;
@@ -138,6 +177,8 @@ let suite =
     Alcotest.test_case "unlock_restore" `Quick test_unlock_restore;
     Alcotest.test_case "locked_by after restore" `Quick
       test_locked_by_after_restore;
+    Alcotest.test_case "all plane fields off: guards allocate nothing"
+      `Quick test_all_off_allocates_nothing;
     QCheck_alcotest.to_alcotest prop_stamp_roundtrip;
     Alcotest.test_case "parallel mutual exclusion" `Slow
       test_parallel_mutual_exclusion ]
