@@ -44,8 +44,8 @@ val enable : config -> unit
     [Runtime.plane.faults]. *)
 
 val disable : unit -> unit
-(** Clear [Runtime.plane.faults] and the configuration, and {!disarm}
-    the caller.  Other domains' one-shots stay armed but cannot fire. *)
+(** Clear [Runtime.plane.faults] and the configuration, and {!disarm} the
+    caller.  Other domains' one-shots stay armed and fire once re-enabled. *)
 
 val enabled : unit -> bool
 val current : unit -> config option
@@ -120,5 +120,5 @@ val arm_raise_after : points:int -> unit
 
 val disarm : unit -> unit
 (** Cancel the calling domain's armed one-shot, if any.  ({!disable}
-    does this for the caller and stops armed faults on every other domain
-    by clearing [Runtime.plane.faults].) *)
+    does this for the caller; other domains' one-shots only pause until
+    the injector is reinstalled.) *)
