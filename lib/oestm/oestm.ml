@@ -88,7 +88,7 @@ end = struct
   type 'a tvar = 'a Tvar.t
 
   (* State shared by every nesting level of one top-level attempt.  It
-     lives in the per-domain scratch and [start] resets it. *)
+     lives in the per-process scratch and [start] resets it. *)
   type root = {
     mutable root_tx : int;   (* lock owner id for this attempt *)
     wset : Rwsets.Wset.t;    (* shared: children's writes stay pending *)

@@ -75,7 +75,8 @@ module Ptvar = struct
     let tv = Tvar.make v in
     register ~pid:id (fun s -> Tvar.unsafe_write tv (codec.Codec.decode s));
     Durable.register_encoder ~tvar_id:(Tvar.id tv) ~pid:id (fun o ->
-        codec.Codec.encode (Obj.obj o));
+        codec.Codec.encode
+          (Obj.obj o [@txlint.allow "obj-magic" "o is this tvar's own value"]));
     tv
 
   let tvar t = t

@@ -271,38 +271,35 @@ let explore_dpor ~max_runs ~max_steps scenario =
     Violation { schedule; explored = !runs; pruned = !pruned }
   | exception Budget -> Out_of_budget { explored = !runs; pruned = !pruned }
 
-let explore ?(mode = `Dpor) ?(max_runs = 20_000) ?(max_steps = 20_000)
-    ?(retry_cap = 1_000) scenario =
+(* Run [f] under the given retry policy, restoring the caller's however
+   [f] ends. *)
+let with_retry_policy ~retry_cap ~starvation_mode f =
   let saved_cap = !Runtime.retry_cap in
   let saved_mode = !Runtime.starvation_mode in
   Runtime.retry_cap := retry_cap;
-  (* A global serial fallback would defeat exploration (every livelocking
-     schedule would converge instead of being pruned), so exploration runs
-     with the historical raise-on-cap behaviour. *)
-  Runtime.starvation_mode := `Raise;
+  Runtime.starvation_mode := starvation_mode;
   Fun.protect
     ~finally:(fun () ->
       Runtime.retry_cap := saved_cap;
       Runtime.starvation_mode := saved_mode)
-    (fun () ->
+    f
+
+let explore ?(mode = `Dpor) ?(max_runs = 20_000) ?(max_steps = 20_000)
+    ?(retry_cap = 1_000) scenario =
+  (* A global serial fallback would defeat exploration (every livelocking
+     schedule would converge instead of being pruned), so exploration runs
+     with the historical raise-on-cap behaviour. *)
+  with_retry_policy ~retry_cap ~starvation_mode:`Raise (fun () ->
       match mode with
       | `Naive -> explore_naive ~max_runs ~max_steps scenario
       | `Dpor -> explore_dpor ~max_runs ~max_steps scenario)
 
 let sample ?(runs = 1_000) ?(max_steps = 20_000) ?(retry_cap = 1_000)
     ?(starvation_mode = `Raise) ?(seed = 1) scenario =
-  let saved_cap = !Runtime.retry_cap in
-  let saved_mode = !Runtime.starvation_mode in
-  Runtime.retry_cap := retry_cap;
   (* [`Raise] (default) prunes livelocking schedules like [explore]; the
      chaos suite passes [`Fallback] so random schedules also exercise the
      serial-irrevocable escalation path. *)
-  Runtime.starvation_mode := starvation_mode;
-  Fun.protect
-    ~finally:(fun () ->
-      Runtime.retry_cap := saved_cap;
-      Runtime.starvation_mode := saved_mode)
-    (fun () ->
+  with_retry_policy ~retry_cap ~starvation_mode (fun () ->
       let rng = ref (seed lor 1) in
       let next () =
         rng := (!rng * 48271) mod 2147483647;

@@ -32,7 +32,7 @@ type proc_state = {
   index : int;
   mutable thunk : (unit -> unit) option;  (* [Some] until first activation *)
   mutable cont : (unit, unit) Effect.Deep.continuation option;
-  mutable tls : Obj.t array;
+  mutable locals : Runtime.locals;
   mutable finished : bool;
   mutable failure : exn option;
   mutable pending : Runtime.access;
@@ -53,12 +53,22 @@ let handler st =
           Some
             (fun (k : (a, unit) Effect.Deep.continuation) ->
               st.cont <- Some k;
-              st.pending <- a;
-              st.tls <- Runtime.save_all_tls ())
+              st.pending <- a)
         | _ -> None) }
 
-let activate st =
-  Runtime.restore_all_tls st.tls;
+(* Install [st]'s locals.  The process whose locals are installed
+   ([installed]) keeps them until another runs: only then are they saved,
+   so a process running several steps in a row switches nothing. *)
+let switch_to installed st =
+  match !installed with
+  | Some p when p == st -> ()
+  | prev ->
+    Option.iter (fun p -> p.locals <- Runtime.save_locals ()) prev;
+    Runtime.restore_locals st.locals;
+    installed := Some st
+
+let activate installed st =
+  switch_to installed st;
   match (st.cont, st.thunk) with
   | Some k, _ ->
     st.cont <- None;
@@ -68,11 +78,14 @@ let activate st =
     Effect.Deep.match_with thunk () (handler st)
   | None, None -> invalid_arg "Sched.activate: process already finished"
 
-let kill st =
+let kill installed st =
   match st.cont with
   | None -> ()
   | Some k -> (
     st.cont <- None;
+    (* The process unwinds as itself: its handlers release what it holds
+       (the serial token, its locks) under its own id and locals. *)
+    switch_to installed st;
     (* Exceptions raised by the unwinding process land in its own handler
        ([exnc] above records them in [st.failure]); the only exception
        [discontinue] itself can raise at us is
@@ -87,33 +100,23 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
     List.mapi
       (fun index thunk ->
         { index; thunk = Some thunk; cont = None;
-          tls = Runtime.save_all_tls (); finished = false; failure = None;
-          pending = Runtime.Pure })
+          locals = Runtime.fresh_locals ~proc:index; finished = false;
+          failure = None; pending = Runtime.Pure })
       procs
     |> Array.of_list
   in
-  let current = ref (-1) in
   let saved_yield = !Runtime.yield_hook in
   let saved_plane = Runtime.save_plane () in
-  let outer_tls = Runtime.save_all_tls () in
+  let outer_locals = Runtime.save_locals () in
+  let installed = ref None in
   let acc = ref [] in
-  (* Outside a step (between decisions, in unwind handlers) the process
-     is the caller's. *)
-  let outer_proc =
-    match saved_plane.sim with
-    | Some f -> f
-    | None -> fun () -> (Domain.self () :> int)
-  in
-  Runtime.plane.sim <-
-    Some (fun () -> if !current >= 0 then !current else outer_proc ());
-  Runtime.reset_sim_ids ();
+  Runtime.plane.sim <- true;
   Runtime.plane.trace <- Some (fun a -> acc := a :: !acc);
   Runtime.yield_hook := (fun a -> Effect.perform (Yield a));
   let restore_environment () =
     Runtime.yield_hook := saved_yield;
     Runtime.restore_plane saved_plane;
-    Runtime.restore_all_tls outer_tls;
-    current := -1
+    Runtime.restore_locals outer_locals
   in
   let trace = ref [] in
   let steps = ref 0 in
@@ -130,7 +133,7 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
   let kill_ready ready =
     List.iter
       (fun i ->
-        kill states.(i);
+        kill installed states.(i);
         states.(i).finished <- true;
         killed := i :: !killed)
       ready
@@ -159,13 +162,11 @@ let run_guided ?(max_steps = 100_000) ~guide procs =
            trace := { s_ready = ready; s_chosen = chosen; s_acc = [] } :: !trace;
            incr steps;
            let st = states.(List.nth ready chosen) in
-           current := st.index;
            (* The annotation announced at the suspending yield opens the
               step's footprint; tracing fills in the rest dynamically. *)
            acc := [ st.pending ];
            st.pending <- Runtime.Pure;
-           activate st;
-           current := -1;
+           activate installed st;
            loop ()
        end
      in

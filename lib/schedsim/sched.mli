@@ -9,9 +9,10 @@
 
     While a simulation runs, the scheduler owns
     {!Stm_core.Runtime.yield_hook} and the [sim] and [trace] fields of
-    {!Stm_core.Runtime.plane}, restored however the run ends, and swaps
-    each STM's thread-local state when switching processes, so transactions
-    of different logical processes never bleed into each other.
+    {!Stm_core.Runtime.plane} and the caller's locals, restored however
+    the run ends.  Each process runs on its own fresh
+    {!Stm_core.Runtime.local}s (its id is its index), so processes never
+    bleed into each other, and a killed process unwinds on its own.
 
     Each executed step carries its {e footprint}: the annotation announced
     at the scheduling point, plus every shared access the STM machinery
@@ -61,9 +62,8 @@ val run_guided :
     be verdict-checked — the DPOR explorer cuts exactly the runs whose every
     extension is equivalent to an already-explored one.
 
-    Every run resets the simulation id pools
-    ({!Stm_core.Runtime.reset_sim_ids}), so tvar/tx ids are a deterministic
-    function of the schedule. *)
+    Each process starts with fresh locals, so tvar/tx ids are a
+    deterministic function of the schedule. *)
 
 val run :
   ?max_steps:int ->

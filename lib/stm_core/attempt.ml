@@ -9,8 +9,8 @@
 
     - the {b top-level bracket} ({!Make}): the retry policy (deadline,
       parking behind the serial token, backoff, retry cap, escalation),
-      the per-instance current-transaction key (context-switched by the
-      deterministic scheduler), the per-domain scratch sets, and one
+      the per-instance current-transaction key and scratch sets (both
+      per-process locals, switched by the deterministic scheduler), and one
       handler per attempt.  The handler owns what every engine's attempt
       does alike: registry publication, the sanitizer's lifecycle
       callbacks and abort audit, event recording, the fault window, the
@@ -32,9 +32,8 @@ module type ENGINE = sig
 
   type scratch
   (** Reusable per-attempt storage (read/write sets).  One value per
-      domain and engine instance, cleared before each top-level attempt;
-      simulated runs get a fresh one per attempt, because one domain then
-      multiplexes logical processes that must not share mutable state. *)
+      process and engine instance (a {!Runtime.local}), cleared before
+      each top-level attempt. *)
 
   val stats : Stats.t
   val create_scratch : unit -> scratch
@@ -94,29 +93,20 @@ module Make (E : ENGINE) : sig
       {!Control.Timeout}.  Any other exception propagates once the
       attempt is undone (DESIGN.md §5d). *)
 end = struct
-  let current : E.ctx option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let () =
-    Runtime.register_tls
-      ~save:(fun () -> Obj.repr (Domain.DLS.get current))
-      ~restore:(fun o -> Domain.DLS.set current (Obj.obj o : E.ctx option))
+  let current : E.ctx option Domain.DLS.key = Runtime.local (fun () -> None)
 
   let in_transaction () = Option.is_some (Domain.DLS.get current)
 
-  (* Per-domain scratch sets, reused across every top-level transaction
-     the domain runs: retries stop re-growing the backing stores from
+  (* Per-process scratch sets, reused across every top-level transaction
+     the process runs: retries stop re-growing the backing stores from
      their initial capacity, which dominates read-heavy workloads.
      Clearing wipes freed slots, so reuse does not pin dead tvars. *)
-  let scratch = Domain.DLS.new_key E.create_scratch
+  let scratch = Runtime.local E.create_scratch
 
-  let fresh_scratch () =
-    match Runtime.plane.sim with
-    | Some _ -> E.create_scratch ()
-    | None ->
-      let s = Domain.DLS.get scratch in
-      E.clear_scratch s;
-      s
+  let cleared_scratch () =
+    let s = Domain.DLS.get scratch in
+    E.clear_scratch s;
+    s
 
   let starvation_msg = "transaction exceeded retry cap"
 
@@ -181,7 +171,7 @@ end = struct
     if fi then Faults.enter_attempt ();
     let owner = Runtime.fresh_tx_id () in
     let rec_state = Txrec.create () in
-    let ctx = E.start (fresh_scratch ()) mode ~owner ~rec_state in
+    let ctx = E.start (cleared_scratch ()) mode ~owner ~rec_state in
     Domain.DLS.set current (Some ctx);
     if Option.is_some Runtime.plane.recovery then Registry.publish ~owner;
     if san then Sanitizer.tx_begin ~owner;

@@ -20,7 +20,7 @@ let next_rand t =
 
 let once t =
   let spins = next_rand t mod t.window in
-  if Option.is_none Runtime.plane.sim then
+  if not Runtime.plane.sim then
     for _ = 1 to spins do
       Domain.cpu_relax ()
     done;

@@ -47,12 +47,12 @@ exception Timeout of string
 
 val abort_tx : reason -> 'a
 (** Raise {!Abort_tx}.  While the sanitizer is on, first bumps the
-    calling domain's {!abort_generation}, so the sanitizer can detect
+    calling process's {!abort_generation}, so the sanitizer can detect
     aborts that user code swallows before they reach the attempt's
     handler.  Code raising {!Abort_tx} directly is invisible to it. *)
 
 val abort_generation : unit -> int
-(** The calling domain's count of {!abort_tx} raises made while the
+(** The calling process's count of {!abort_tx} raises made while the
     sanitizer was on. *)
 
 val set_abort_generation : int -> unit

@@ -7,7 +7,7 @@
    - an encoder registry mapping a tvar id to its persistent id and a
      serializer, filled by [Persist.Ptvar.make] and consulted by
      [Rwsets.Wset.capture_durable] right after a write set installs;
-   - a per-domain staging slot: the engine stages [(pid, bytes)] entries
+   - a per-process staging slot: the engine stages [(pid, bytes)] entries
      together with the commit version [wv] while still inside the
      attempt, and the attempt handler fires the staged record through
      [commit_hook] only once the attempt's outcome is a definitive
@@ -46,10 +46,10 @@ let encoder_for tvar_id = Hashtbl.find_opt encoders tvar_id
 let reset_encoders () = locked (fun () -> Hashtbl.reset encoders)
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain staging                                                  *)
+(* Per-process staging                                                 *)
 
 let staged_slot : staged option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+  Runtime.local (fun () -> ref None)
 
 let stage ~wv entries =
   if entries <> [] then

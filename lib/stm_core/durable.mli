@@ -24,13 +24,13 @@ val encoder_for : int -> (int * (Obj.t -> string)) option
 (** The persistent id and encoder registered for a tvar id, if any. *)
 
 val stage : wv:int -> (int * string) list -> unit
-(** Stage the durable entries of the write set the current domain just
+(** Stage the durable entries of the write set the current process just
     installed at commit version [wv].  No-op on [[]] (a commit that
     touched no persistent tvar logs nothing).  Overwrites any previous
-    staging by this domain. *)
+    staging by this process. *)
 
 val discard_staged : unit -> unit
-(** Drop the current domain's staged record (the attempt aborted). *)
+(** Drop the current process's staged record (the attempt aborted). *)
 
 val commit_hook : (staged -> unit) ref
 (** Installed by [Persist.enable]: appends the record to the WAL.
@@ -38,7 +38,7 @@ val commit_hook : (staged -> unit) ref
 
 val on_commit : unit -> unit
 (** Called by the attempt handler after a successful top-level commit: if the
-    current domain staged a record, count it, clear the slot and hand the
+    current process staged a record, count it, clear the slot and hand the
     record to {!commit_hook}. *)
 
 val reset_for_testing : unit -> unit

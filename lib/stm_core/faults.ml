@@ -142,15 +142,8 @@ let uniform () = float_of_int (draw () land 0x3FFFFFFF) /. 1073741824.0
 
 let hit rate = rate > 0.0 && uniform () < rate
 
-(* Per-process "inside a transaction attempt" flag.  Domain-local in real
-   runs; registered with the TLS registry so the deterministic scheduler
-   swaps it when context-switching logical processes. *)
-let in_attempt : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let () =
-  Runtime.register_tls
-    ~save:(fun () -> Obj.repr !(Domain.DLS.get in_attempt))
-    ~restore:(fun o -> Domain.DLS.get in_attempt := (Obj.obj o : bool))
+(* Per-process "inside a transaction attempt" flag. *)
+let in_attempt = Runtime.local (fun () -> ref false)
 
 let enter_attempt () = Domain.DLS.get in_attempt := true
 let leave_attempt () = Domain.DLS.get in_attempt := false
@@ -160,24 +153,29 @@ let eligible () =
 
 let spin_delay c =
   let spins = 1 + (draw () mod max 1 c.max_delay_spins) in
-  if Option.is_none Runtime.plane.sim then
+  if not Runtime.plane.sim then
     for _ = 1 to spins do
       Domain.cpu_relax ()
     done
 
 exception Injected_failure
 
-(* Deterministic one-shot faults, armed per domain: fire after exactly
+(* Deterministic one-shot faults, armed per process: fire after exactly
    [points] further eligible scheduling points.  The chaos kill scenario
    uses them to land a crash at a chosen depth inside a transaction —
-   i.e. inside a lock-holding window — independent of the PRNG stream. *)
+   i.e. inside a lock-holding window — independent of the PRNG stream.
+   [disable] bumps [generation]; a one-shot armed under an older
+   generation is dropped at its next point, whichever process holds it. *)
 type armed = {
   mutable countdown : int;
   mutable armed_kind : [ `Crash | `Raise ] option;
+  mutable armed_gen : int;
 }
 
-let armed_state : armed Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { countdown = 0; armed_kind = None })
+let generation = Atomic.make 0
+
+let armed_state =
+  Runtime.local (fun () -> { countdown = 0; armed_kind = None; armed_gen = 0 })
 
 let fire_armed a k =
   a.armed_kind <- None;
@@ -193,6 +191,8 @@ let point () =
   begin
     let a = Domain.DLS.get armed_state in
     match a.armed_kind with
+    | Some _ when a.armed_gen <> Atomic.get generation ->
+      a.armed_kind <- None
     | Some k when eligible () ->
       a.countdown <- a.countdown - 1;
       if a.countdown <= 0 then fire_armed a k
@@ -212,49 +212,30 @@ let point () =
       end
     end
 
-let inject_lock_fail () =
+(* One draw against [rate c], counted as [kind] when it hits.  [gated]
+   confines it to eligible points, and is checked before the draw so an
+   ineligible point consumes none. *)
+let inject ~gated kind rate =
   match !config with
-  | None -> false
-  | Some c ->
-    eligible () && hit c.lock_fail
-    && begin
-         record Lock_fail;
-         true
-       end
+  | Some c when ((not gated) || eligible ()) && hit (rate c) ->
+    record kind;
+    true
+  | _ -> false
+
+let inject_lock_fail () = inject ~gated:true Lock_fail (fun c -> c.lock_fail)
 
 let inject_validation_fail () =
-  match !config with
-  | None -> false
-  | Some c ->
-    eligible () && hit c.validation_fail
-    && begin
-         record Validation_fail;
-         true
-       end
+  inject ~gated:true Validation_fail (fun c -> c.validation_fail)
 
 (* The WAL runs *after* an attempt commits (the durability hook fires in
    the attempt handler once [leave_attempt] has run), so these are deliberately
    not gated on [eligible]: a configured rate applies to every fsync /
    flush regardless of transactional context. *)
 let inject_fsync_fail () =
-  match !config with
-  | None -> false
-  | Some c ->
-    hit c.fsync_fail
-    && begin
-         record Fsync_fail;
-         true
-       end
+  inject ~gated:false Fsync_fail (fun c -> c.fsync_fail)
 
 let inject_short_write () =
-  match !config with
-  | None -> false
-  | Some c ->
-    hit c.short_write
-    && begin
-         record Short_write;
-         true
-       end
+  inject ~gated:false Short_write (fun c -> c.short_write)
 
 (* Arming installs the hook even with no PRNG config: a one-shot fault
    must fire regardless of whether random fault rates are also active. *)
@@ -263,6 +244,7 @@ let arm kind ~points =
   let a = Domain.DLS.get armed_state in
   a.countdown <- points;
   a.armed_kind <- Some kind;
+  a.armed_gen <- Atomic.get generation;
   Runtime.plane.faults <- Some point
 
 let arm_crash_after ~points = arm `Crash ~points
@@ -278,11 +260,14 @@ let enable c =
   Atomic.set prng (mix c.seed);
   Runtime.plane.faults <- Some point
 
-(* Disarms the caller too: a one-shot left armed would otherwise fire at
-   the first eligible point after a later [enable] or [arm]. *)
+(* Cancels every armed one-shot: one left armed would otherwise fire at
+   the first eligible point after a later [enable] or [arm].  The
+   caller's is cleared here; every other process's goes stale with the
+   generation. *)
 let disable () =
   Runtime.plane.faults <- None;
   disarm ();
+  Atomic.incr generation;
   config := None
 
 let enabled () = Option.is_some !config

@@ -44,8 +44,10 @@ val enable : config -> unit
     [Runtime.plane.faults]. *)
 
 val disable : unit -> unit
-(** Clear [Runtime.plane.faults] and the configuration, and {!disarm} the
-    caller.  Other domains' one-shots stay armed and fire once re-enabled. *)
+(** Clear [Runtime.plane.faults] and the configuration, and cancel every
+    armed one-shot: the caller's at once ({!disarm}), every other
+    process's (another domain's, or another simulated process's) at its
+    next scheduling point, so none fires after a later {!enable} or arm. *)
 
 val enabled : unit -> bool
 val current : unit -> config option
@@ -110,15 +112,16 @@ exception Injected_failure
     exception, so it exercises the engines' catch-all cleanup paths. *)
 
 val arm_crash_after : points:int -> unit
-(** Deterministic one-shot, per domain: after [points] further eligible
-    scheduling points on the calling domain, raise {!Control.Crashed}
-    (once).  Installs the injector even when no {!config} is active.
-    Raises [Invalid_argument] if [points <= 0]. *)
+(** Deterministic one-shot, per process: after [points] further eligible
+    scheduling points of the calling process (its domain, or its
+    simulated process under the deterministic scheduler), raise
+    {!Control.Crashed} (once).  It never fires in another process.
+    Installs the injector even when no {!config} is active.  Raises
+    [Invalid_argument] if [points <= 0]. *)
 
 val arm_raise_after : points:int -> unit
 (** Same, raising {!Injected_failure} instead. *)
 
 val disarm : unit -> unit
-(** Cancel the calling domain's armed one-shot, if any.  ({!disable}
-    does this for the caller; other domains' one-shots only pause until
-    the injector is reinstalled.) *)
+(** Cancel the calling process's armed one-shot, if any.  ({!disable}
+    cancels every process's.) *)

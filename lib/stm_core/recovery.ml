@@ -41,9 +41,13 @@ let lease_ns () = Atomic.get lease
 
 let enabled () = Option.is_some Runtime.plane.recovery
 
+(* Inert under the deterministic scheduler, like [try_steal_vlock]: the
+   registry holds one slot per domain, while token holders are simulated
+   process ids, so a live simulated holder would read as dead. *)
 let serial_reclaim () =
   let h = Runtime.Serial.holder_id () in
-  if h >= 0 && h <> Runtime.current_proc () then begin
+  if (not Runtime.plane.sim) && h >= 0 && h <> Runtime.current_proc ()
+  then begin
     match Registry.domain_status ~lease_ns:(lease_ns ()) ~domain:h with
     | Registry.Live -> ()
     | (Registry.Stale | Registry.Dead) as st ->
@@ -77,7 +81,7 @@ let disable () = Runtime.plane.recovery <- None
    may retry its acquisition/read.  Never called under the deterministic
    scheduler: simulated runs have no real time, hence no leases. *)
 let try_steal_vlock lock =
-  Option.is_none Runtime.plane.sim
+  (not Runtime.plane.sim)
   && begin
        let s = Vlock.stamp lock in
        Vlock.locked s

@@ -11,9 +11,11 @@
     global clock.
 
     Soundness rests on the lease being much longer than any honest
-    lock-hold window — see DESIGN.md §5h.  Recovery is inert under the
-    deterministic scheduler ([Runtime.plane.sim]): simulated time has no
-    leases. *)
+    lock-hold window — see DESIGN.md §5h.  Stealing is inert under the
+    deterministic scheduler ([Runtime.plane.sim]), for vlocks and the
+    serial token alike: simulated time has no leases, and the registry's
+    per-domain slots cannot tell a live simulated process from a dead
+    one. *)
 
 val default_lease_ns : int
 (** 50 ms — comfortably above any honest lock-hold window on a healthy

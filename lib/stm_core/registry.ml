@@ -51,7 +51,10 @@ let now_ns () = Int64.to_int (Mclock.now_ns ())
 
 (* Per-domain claimed slot.  [None] until the first publish; the claim is
    released (and the slot marked dead first, so in-flight orphans stay
-   reclaimable) when the domain exits. *)
+   reclaimable) when the domain exits.  Deliberately a DLS key rather than
+   a [Runtime.local]: the registry models the death of a domain, and a
+   slot per simulated process would never be released, so the fixed
+   table would fill. *)
 let my_slot : slot option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

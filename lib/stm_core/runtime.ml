@@ -25,7 +25,7 @@ type recovery_hooks = {
 }
 
 type plane = {
-  mutable sim : (unit -> int) option;
+  mutable sim : bool;
   mutable trace : (access -> unit) option;
   mutable faults : (unit -> unit) option;
   mutable recovery : recovery_hooks option;
@@ -35,7 +35,7 @@ type plane = {
 }
 
 let plane =
-  { sim = None; trace = None; faults = None; recovery = None;
+  { sim = false; trace = None; faults = None; recovery = None;
     sanitizer = None; durable = false; detailed = false }
 
 let save_plane () = { plane with sim = plane.sim }
@@ -49,8 +49,35 @@ let restore_plane p =
   plane.durable <- p.durable;
   plane.detailed <- p.detailed
 
-let current_proc () =
-  match plane.sim with Some f -> f () | None -> (Domain.self () :> int)
+(* Per-process state: each local is a DLS key and two typed closures,
+   [save] (the current value's reinstaller) and [fresh] (a new value's
+   installer for process [p]).  Locals register at module initialisation
+   and the closures run only under the single-domain deterministic
+   scheduler, so a plain list is safe. *)
+type locals = (unit -> unit) list
+
+type entry = { save : unit -> unit -> unit; fresh : int -> unit -> unit }
+
+let entries : entry list ref = ref []
+
+let register key fresh =
+  let set v () = Domain.DLS.set key v in
+  entries :=
+    { save = (fun () -> set (Domain.DLS.get key));
+      fresh = (fun p -> set (fresh p)) }
+    :: !entries;
+  key
+
+let local init = register (Domain.DLS.new_key init) (fun _ -> init ())
+
+let proc_id =
+  register (Domain.DLS.new_key (fun () -> (Domain.self () :> int))) Fun.id
+
+let save_locals () = List.map (fun e -> e.save ()) !entries
+let fresh_locals ~proc = List.map (fun e -> e.fresh proc) !entries
+let restore_locals l = List.iter (fun install -> install ()) l
+
+let current_proc () = Domain.DLS.get proc_id
 
 let yield_hook : (access -> unit) ref = ref (fun _ -> ())
 
@@ -99,22 +126,26 @@ module Serial = struct
     let h = Atomic.get holder in
     h < 0 || h = current_proc ()
 
-  let relax () =
-    match plane.sim with
-    | Some _ -> schedule_point ()
-    | None -> Domain.cpu_relax ()
+  let relax () = if plane.sim then schedule_point () else Domain.cpu_relax ()
 
   let reclaim () =
     match plane.recovery with Some r -> r.serial_reclaim () | None -> ()
 
-  let rec enter ?(giveup = fun () -> false) () =
-    if Atomic.compare_and_set holder (-1) (current_proc ()) then true
-    else if giveup () then false
-    else begin
-      reclaim ();
-      relax ();
-      enter ~giveup ()
-    end
+  (* Poll [ready] until it holds ([true]) or [giveup] does ([false]),
+     reclaiming an orphaned token between polls. *)
+  let rec wait_until ready giveup =
+    ready ()
+    || (not (giveup ()))
+       && begin
+            reclaim ();
+            relax ();
+            wait_until ready giveup
+          end
+
+  let enter ?(giveup = fun () -> false) () =
+    wait_until
+      (fun () -> Atomic.compare_and_set holder (-1) (current_proc ()))
+      giveup
 
   let exit () =
     ignore (Atomic.compare_and_set holder (current_proc ()) (-1))
@@ -128,69 +159,36 @@ module Serial = struct
   let force_clear ~expected =
     expected >= 0 && Atomic.compare_and_set holder expected (-1)
 
-  let rec await_clear ?(giveup = fun () -> false) () =
-    let h = Atomic.get holder in
-    if h < 0 || h = current_proc () then true
-    else if giveup () then false
-    else begin
-      reclaim ();
-      relax ();
-      await_clear ~giveup ()
-    end
+  let await_clear ?(giveup = fun () -> false) () =
+    wait_until commit_allowed giveup
 end
 
 (* Identifier supplies.  Outside the deterministic scheduler these are
-   global atomic counters.  Under simulation, ids are drawn from per-process
-   pools instead: two independent steps that each allocate (a tvar created
-   inside a transaction, a fresh transaction id) must produce the same ids
-   in either execution order, otherwise id-derived behaviour (write-set lock
-   ordering, owner comparisons) would distinguish equivalent interleavings
-   and break partial-order reduction. *)
+   global atomic counters.  Under simulation, ids come from per-process
+   counters salted with the process id instead: two independent steps
+   that each allocate (a tvar created inside a transaction, a fresh
+   transaction id) must produce the same ids in either execution order,
+   otherwise id-derived behaviour (write-set lock ordering, owner
+   comparisons) would distinguish equivalent interleavings and break
+   partial-order reduction. *)
 let tx_counter = Atomic.make 0
 let tvar_counter = Atomic.make 0
 
 let sim_id_base = 1 lsl 40
 let sim_id_stride = 1 lsl 28
 
-let sim_tx_pools : (int, int ref) Hashtbl.t = Hashtbl.create 8
-let sim_tvar_pools : (int, int ref) Hashtbl.t = Hashtbl.create 8
+let sim_tx_count = local (fun () -> ref 0)
+let sim_tvar_count = local (fun () -> ref 0)
 
-let reset_sim_ids () =
-  Hashtbl.reset sim_tx_pools;
-  Hashtbl.reset sim_tvar_pools
-
-let salted_id pools =
-  let p = current_proc () in
-  let r =
-    match Hashtbl.find_opt pools p with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add pools p r;
-      r
-  in
+let salted_id key =
+  let r = Domain.DLS.get key in
   incr r;
-  sim_id_base + ((p + 1) * sim_id_stride) + !r
+  sim_id_base + ((current_proc () + 1) * sim_id_stride) + !r
 
 let fresh_tx_id () =
-  match plane.sim with
-  | Some _ -> salted_id sim_tx_pools
-  | None -> Atomic.fetch_and_add tx_counter 1
+  if plane.sim then salted_id sim_tx_count
+  else Atomic.fetch_and_add tx_counter 1
 
 let fresh_tvar_id () =
-  match plane.sim with
-  | Some _ -> salted_id sim_tvar_pools
-  | None -> Atomic.fetch_and_add tvar_counter 1
-
-(* TLS registry.  Registration happens at module initialisation time (each
-   STM registers once); save/restore run only under the single-domain
-   deterministic scheduler, so a plain list is safe. *)
-let tls_entries : ((unit -> Obj.t) * (Obj.t -> unit)) list ref = ref []
-
-let register_tls ~save ~restore = tls_entries := (save, restore) :: !tls_entries
-
-let save_all_tls () =
-  Array.of_list (List.map (fun (save, _) -> save ()) !tls_entries)
-
-let restore_all_tls a =
-  List.iteri (fun i (_, restore) -> restore a.(i)) !tls_entries
+  if plane.sim then salted_id sim_tvar_count
+  else Atomic.fetch_and_add tvar_counter 1

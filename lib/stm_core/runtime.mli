@@ -55,9 +55,9 @@ type recovery_hooks = {
     builds no event.  Sites match on the options; closures are never
     compared.
 
-    - [sim]: the deterministic scheduler's process-id function
-      ({!current_proc}).  While set, spin-waits yield, ids come from
-      per-process pools, and recovery and sanitizer checks are inert.
+    - [sim]: the deterministic scheduler is running simulated processes
+      on this domain.  While set, spin-waits yield, ids come from
+      per-process counters, and recovery and sanitizer checks are inert.
     - [trace]: the scheduler's receiver of every shared access (lock
       stamps, tvar stores, clock reads and ticks).
     - [faults]: {!Faults.point}, called at every scheduling point.  Lock
@@ -74,7 +74,7 @@ type recovery_hooks = {
       hit/miss counts), validation (scan length) and commit (set sizes):
       a load and a branch at each when off. *)
 type plane = {
-  mutable sim : (unit -> int) option;
+  mutable sim : bool;
   mutable trace : (access -> unit) option;
   mutable faults : (unit -> unit) option;
   mutable recovery : recovery_hooks option;
@@ -92,9 +92,32 @@ val save_plane : unit -> plane
 val restore_plane : plane -> unit
 (** Write every field of a saved copy back into {!plane}. *)
 
+(** {1 Per-process state}
+
+    A {e local} holds one value per logical process: per domain on real
+    domains (a plain DLS key), per simulated process under the
+    deterministic scheduler, which installs a process's set of locals
+    whenever that process runs. *)
+
+val local : (unit -> 'a) -> 'a Domain.DLS.key
+(** [local init] registers a local whose value [init] builds for each
+    domain and each fresh simulated process.  Module initialisation
+    only. *)
+
+type locals
+(** One value of every local. *)
+
+val save_locals : unit -> locals
+
+val fresh_locals : proc:int -> locals
+(** New values for simulated process [proc] ({!current_proc} is [proc]);
+    nothing is installed. *)
+
+val restore_locals : locals -> unit
+
 val current_proc : unit -> int
-(** The id of the current logical process: [plane.sim]'s answer under
-    simulation, otherwise the domain id. *)
+(** The current logical process, a local: the domain id on a real domain,
+    the process index under simulation. *)
 
 val yield_hook : (access -> unit) ref
 (** Called by STM implementations immediately before every shared access
@@ -189,22 +212,8 @@ module Serial : sig
 end
 
 val fresh_tx_id : unit -> int
-(** Globally unique transaction identifiers. *)
+(** Globally unique transaction identifiers.  Under simulation, a
+    per-process counter salted with {!current_proc} (DESIGN.md §5c). *)
 
 val fresh_tvar_id : unit -> int
-(** Globally unique tvar / protection-element identifiers. *)
-
-val reset_sim_ids : unit -> unit
-(** Reset the per-process id pools used while [plane.sim] is set.  Called
-    by the deterministic scheduler at the start of every run so that ids
-    are a deterministic function of (process, allocation index) — a
-    requirement for partial-order reduction: independent steps must
-    allocate the same ids in either execution order. *)
-
-(** Thread-local-state registry.  Every STM registers the save/restore pair
-    for its "current transaction" slot; the deterministic scheduler snapshots
-    all slots when context-switching between logical processes. *)
-
-val register_tls : save:(unit -> Obj.t) -> restore:(Obj.t -> unit) -> unit
-val save_all_tls : unit -> Obj.t array
-val restore_all_tls : Obj.t array -> unit
+(** Globally unique tvar / protection-element identifiers, drawn alike. *)

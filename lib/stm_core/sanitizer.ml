@@ -109,7 +109,7 @@ let enabled () = Option.is_some Runtime.plane.sanitizer
    states (peeks from evaluator closures, mid-schedule kills) that the
    discipline checks would misread as escapes. *)
 let active () =
-  Option.is_some Runtime.plane.sanitizer && Option.is_none Runtime.plane.sim
+  Option.is_some Runtime.plane.sanitizer && not Runtime.plane.sim
 
 (* Assumes [m] is held. *)
 let record_locked ~kind ~pe ~owner detail =

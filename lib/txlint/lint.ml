@@ -38,7 +38,7 @@ let kind_name = function
 let kind_description = function
   | Catch_all ->
     "exception handler that swallows every exception without re-raising"
-  | Obj_magic -> "Obj.magic outside the sanctioned rw-set existential"
+  | Obj_magic -> "unchecked cast (Obj.magic, Obj.obj) at an unannotated site"
   | Stm_escape ->
     "non-transactional escape hatch (peek/unsafe_write/unsafe_preload) \
      at an unannotated site"
@@ -205,10 +205,14 @@ let check_sites ~file (body : Parsetree.expression) =
           (match e.pexp_desc with
           | Pexp_try (_, cases) -> List.iter (check_case ~what:`Try) cases
           | Pexp_match (_, cases) -> List.iter (check_case ~what:`Match) cases
-          | Pexp_ident { txt = Ldot (Lident "Obj", "magic"); loc } ->
+          | Pexp_ident
+              { txt = Ldot (Lident "Obj", (("magic" | "obj") as cast)); loc }
+            ->
             add loc Obj_magic
-              "Obj.magic outside the rw-set existential; annotate the \
-               sanctioned site with [@txlint.allow \"obj-magic\" \"...\"]"
+              (Printf.sprintf
+                 "Obj.%s at an unannotated site; annotate a sanctioned \
+                  cast with [@txlint.allow \"obj-magic\" \"<why>\"]"
+                 cast)
           | Pexp_ident { txt = Ldot (_, name); loc }
             when List.mem name escape_names ->
             add loc Stm_escape

@@ -17,7 +17,8 @@
       allowlist: the stdlib raisers (bare or [Stdlib.]-qualified),
       [Control.abort_tx], [Alcotest.fail]/[failf] and [assert].  Other
       modules' [fail]/[failf] lookalikes and [exit] do not count.
-    - {b obj-magic}: any use of [Obj.magic] at an unannotated site.
+    - {b obj-magic}: any use of an unchecked cast, [Obj.magic] or
+      [Obj.obj], at an unannotated site.
     - {b stm-escape}: any qualified mention of the escape hatches
       [peek], [unsafe_write] or [unsafe_preload] at an unannotated site.
     - {b crash-swallowed}: a handler matching one of the raise-at-point
@@ -48,7 +49,7 @@
 
 type kind =
   | Catch_all  (** exception handler that swallows every exception *)
-  | Obj_magic  (** [Obj.magic] at an unannotated site *)
+  | Obj_magic  (** [Obj.magic] or [Obj.obj] at an unannotated site *)
   | Stm_escape
       (** [peek]/[unsafe_write]/[unsafe_preload] at an unannotated site *)
   | Crash_swallowed

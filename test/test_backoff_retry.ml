@@ -5,12 +5,11 @@
 
 open Stm_core
 
-(* Run [f] with the plane's simulation field set (to the domain's id) so
-   Backoff.once does not actually spin — these are semantic tests, not
-   timing tests. *)
+(* Run [f] with the plane's simulation field set so Backoff.once does not
+   actually spin — these are semantic tests, not timing tests. *)
 let simulated f =
   let saved = Runtime.save_plane () in
-  Runtime.plane.sim <- Some (fun () -> (Domain.self () :> int));
+  Runtime.plane.sim <- true;
   Fun.protect ~finally:(fun () -> Runtime.restore_plane saved) f
 
 (* ------------------------------------------------------------------ *)

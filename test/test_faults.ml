@@ -154,6 +154,36 @@ let test_disable_disarms () =
       Alcotest.(check int) "no crash recorded" 0
         (Faults.count Faults.Crash_domain))
 
+(* [disable] cancels the one-shots of every domain, not only the
+   caller's: a worker's one-shot armed before a [disable] on another
+   domain must not fire once the injector is re-enabled. *)
+let test_disable_cancels_other_domains () =
+  in_sandbox (fun () ->
+      let module S = Oestm.Oe in
+      let tv = S.tvar 0 in
+      let armed = Atomic.make false and go = Atomic.make false in
+      let worker =
+        Domain.spawn (fun () ->
+            Faults.arm_crash_after ~points:1;
+            Atomic.set armed true;
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            match S.atomic (fun ctx -> S.write ctx tv 1) with
+            | () -> ()
+            | exception Control.Crashed ->
+              Alcotest.fail "a one-shot armed before [disable] fired")
+      in
+      while not (Atomic.get armed) do
+        Domain.cpu_relax ()
+      done;
+      Faults.disable ();
+      Faults.enable Faults.default;
+      Atomic.set go true;
+      Domain.join worker;
+      Alcotest.(check int) "no crash recorded" 0
+        (Faults.count Faults.Crash_domain))
+
 let suite =
   [ Alcotest.test_case "spec parse round-trip" `Quick test_parse_roundtrip;
     Alcotest.test_case "spec parse errors" `Quick test_parse_errors;
@@ -168,4 +198,6 @@ let suite =
     Alcotest.test_case "disabled layer is inert" `Quick
       test_disabled_is_free;
     Alcotest.test_case "disable disarms the caller's one-shot" `Quick
-      test_disable_disarms ]
+      test_disable_disarms;
+    Alcotest.test_case "disable cancels other domains' one-shots" `Quick
+      test_disable_cancels_other_domains ]

@@ -400,6 +400,66 @@ let test_serial_reclaim_dooms_victim () =
       Alcotest.(check bool) "victim's slot was doomed by the reclaim" true
         !victim_poisoned)
 
+(* Under the deterministic scheduler the token's holder is a simulated
+   process, while the registry keeps one slot per domain: a live holder
+   would read as dead.  Process 1 escalates and yields inside the token
+   while process 0, which has committed once, starts another transaction:
+   nothing may be stolen. *)
+let test_no_serial_reclaim_under_simulation () =
+  let module S = Oestm.Oe in
+  with_recovery (fun () ->
+      let a = S.tvar 0 and b = S.tvar 0 in
+      let committed_once = ref false and serial = ref false in
+      let first = ref true in
+      let p0 () =
+        S.atomic (fun ctx -> S.write ctx a 1);
+        committed_once := true;
+        S.atomic (fun ctx -> S.write ctx a 2)
+      in
+      let p1 () =
+        S.atomic (fun ctx ->
+            if !first then begin
+              first := false;
+              Control.abort_tx Control.Explicit
+            end;
+            serial := true;
+            for _ = 1 to 4 do
+              ignore (S.read ctx b)
+            done;
+            S.write ctx b 1)
+      in
+      let pick ~step ~ready =
+        let want =
+          if not !committed_once then 0
+          else if not !serial then 1
+          else step mod 2
+        in
+        let rec index i = function
+          | [] -> 0
+          | p :: _ when p = want -> i
+          | _ :: rest -> index (i + 1) rest
+        in
+        index 0 ready
+      in
+      let saved_cap = !Runtime.retry_cap
+      and saved_mode = !Runtime.starvation_mode in
+      Runtime.retry_cap := 0;
+      Runtime.starvation_mode := `Fallback;
+      let outcome, _ =
+        Fun.protect
+          ~finally:(fun () ->
+            Runtime.retry_cap := saved_cap;
+            Runtime.starvation_mode := saved_mode)
+          (fun () -> Schedsim.Sched.run ~pick [ p0; p1 ])
+      in
+      Alcotest.(check bool) "completed" true
+        (Schedsim.Sched.completed outcome);
+      Alcotest.(check bool) "process 1 ran under the token" true !serial;
+      Alcotest.(check int) "nothing stolen" 0
+        (Stats.recovery_counters ()).Stats.orphan_steals;
+      Alcotest.(check int) "process 0 committed twice" 2 (S.peek a);
+      Alcotest.(check int) "process 1 committed" 1 (S.peek b))
+
 (* A released slot keeps its dead flag until the next occupant resets it,
    so a racer that matched the slot mid-release can never read it back as
    live; and the freed slot stays reclaimable by new domains. *)
@@ -497,6 +557,8 @@ let suite =
       test_serial_token_reclaim;
     Alcotest.test_case "serial reclaim dooms the victim" `Quick
       test_serial_reclaim_dooms_victim;
+    Alcotest.test_case "no serial reclaim under simulation" `Quick
+      test_no_serial_reclaim_under_simulation;
     Alcotest.test_case "released slot stays dead until re-claimed" `Quick
       test_released_slot_reuse;
     Alcotest.test_case "domain-kill: recovery keeps survivors going" `Slow

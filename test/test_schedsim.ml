@@ -89,7 +89,7 @@ let same_plane (a : Runtime.plane) (b : Runtime.plane) =
     | Some f, Some g -> f == g
     | _ -> false
   in
-  same a.sim b.sim && same a.trace b.trace && same a.faults b.faults
+  a.sim = b.sim && same a.trace b.trace && same a.faults b.faults
   && same a.recovery b.recovery && same a.sanitizer b.sanitizer
   && a.durable = b.durable && a.detailed = b.detailed
 
@@ -201,6 +201,73 @@ let test_sampler_accepts_safe_scenario () =
       (String.concat ";" (List.map string_of_int schedule))
   | Explore.All_ok _ | Explore.Out_of_budget _ -> ()
 
+let with_retry_policy cap mode f =
+  let saved_cap = !Runtime.retry_cap in
+  let saved_mode = !Runtime.starvation_mode in
+  Runtime.retry_cap := cap;
+  Runtime.starvation_mode := mode;
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.retry_cap := saved_cap;
+      Runtime.starvation_mode := saved_mode)
+    f
+
+(* A process killed while it holds the serial token unwinds as itself, so
+   its escalation bracket releases the token.  Were the token left held,
+   every later transaction would park behind a process that no longer
+   exists. *)
+let test_kill_releases_serial_token () =
+  let module S = Oestm.Oe in
+  let tv = S.tvar 0 in
+  let first = ref true in
+  let holder () =
+    S.atomic (fun ctx ->
+        if !first then begin
+          first := false;
+          Control.abort_tx Control.Explicit
+        end;
+        (* Escalated: keep reading under the token until the run is cut. *)
+        while true do
+          ignore (S.read ctx tv)
+        done)
+  in
+  let other () = S.atomic (fun ctx -> S.write ctx tv 1) in
+  let finally () =
+    (* Keep a regression from wedging the tests that follow. *)
+    ignore (Runtime.Serial.force_clear ~expected:(Runtime.Serial.holder_id ()));
+    Runtime.tx_timeout_ns := None
+  in
+  Fun.protect ~finally @@ fun () ->
+  let outcome, _ =
+    with_retry_policy 0 `Fallback (fun () ->
+        Sched.run ~max_steps:20
+          ~pick:(fun ~step:_ ~ready -> List.length ready - 1)
+          [ other; holder ])
+  in
+  Alcotest.(check bool) "the holder escalated" false !first;
+  Alcotest.(check bool) "the holder was killed" true
+    (List.mem 1 outcome.Sched.killed);
+  Alcotest.(check int) "token released" (-1) (Runtime.Serial.holder_id ());
+  Runtime.tx_timeout_ns := Some 500_000_000;
+  match S.atomic (fun ctx -> S.write ctx tv 2) with
+  | () -> Alcotest.(check int) "a later transaction commits" 2 (S.peek tv)
+  | exception Control.Timeout _ ->
+    Alcotest.fail "a later transaction parked behind the killed holder"
+
+(* A one-shot fault is per process: armed in simulated process 0, it
+   never fires in process 1. *)
+let test_one_shot_stays_in_its_process () =
+  let module S = Oestm.Oe in
+  let tv = S.tvar 0 in
+  let armer () = Faults.arm_crash_after ~points:1 in
+  let victim () = S.atomic (fun ctx -> S.write ctx tv 1) in
+  Fun.protect ~finally:Faults.disable @@ fun () ->
+  let outcome, _ = Sched.run [ armer; victim ] in
+  Alcotest.(check int) "no crash recorded" 0
+    (List.length outcome.Sched.failures);
+  Alcotest.(check bool) "completed" true (Sched.completed outcome);
+  Alcotest.(check int) "the other process committed" 1 (S.peek tv)
+
 let suite =
   [ Alcotest.test_case "basic interleaving" `Quick test_interleaving_basic;
     Alcotest.test_case "sampler finds the Fig. 1 violation" `Slow
@@ -213,6 +280,10 @@ let suite =
     Alcotest.test_case "max_steps kills spinners" `Quick test_max_steps_kills;
     Alcotest.test_case "a run restores the plane and the yield hook" `Quick
       test_plane_restored;
+    Alcotest.test_case "killing the serial holder releases the token" `Quick
+      test_kill_releases_serial_token;
+    Alcotest.test_case "a one-shot fires only in its own process" `Quick
+      test_one_shot_stays_in_its_process;
     Alcotest.test_case "explore: TL2 counter" `Slow
       (test_explore_counter (module Classic_stm.Tl2));
     Alcotest.test_case "explore: OE-STM counter" `Slow

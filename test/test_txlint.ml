@@ -80,6 +80,18 @@ let test_obj_magic () =
        "let f (x : int) : string = (Obj.magic x [@txlint.allow \
         \"obj-magic\" \"test fixture\"])")
 
+(* [Obj.obj] is the same unchecked cast as [Obj.magic], spelled for an
+   [Obj.t]: the check covers both. *)
+let test_obj_obj () =
+  Alcotest.(check bool) "flagged" true
+    (has Lint.Obj_magic (lint "let f (o : Obj.t) : string = Obj.obj o"));
+  Alcotest.(check bool) "Obj.repr is not a cast to check" false
+    (has Lint.Obj_magic (lint "let f (x : int) = Obj.repr x"));
+  Alcotest.(check (list findings)) "annotated site clean" []
+    (lint
+       "let f (o : Obj.t) : string = (Obj.obj o [@txlint.allow \
+        \"obj-magic\" \"test fixture\"])")
+
 let test_stm_escape () =
   let src = "let f tv = Stm_core.Tvar.unsafe_write tv 1" in
   Alcotest.(check bool) "unsafe_write flagged" true
@@ -453,6 +465,7 @@ let suite =
     Alcotest.test_case "re-raiser allowlist tightened" `Quick
       test_reraise_allowlist_tightened;
     Alcotest.test_case "Obj.magic outside annotation" `Quick test_obj_magic;
+    Alcotest.test_case "Obj.obj outside annotation" `Quick test_obj_obj;
     Alcotest.test_case "escape hatches flagged" `Quick test_stm_escape;
     Alcotest.test_case "crash-fault swallowing flagged" `Quick
       test_crash_swallowed;

@@ -134,7 +134,7 @@ let test_tvar_footprint () =
 let test_all_off_allocates_nothing () =
   let saved = Runtime.save_plane () in
   Runtime.restore_plane
-    { Runtime.sim = None; trace = None; faults = None; recovery = None;
+    { Runtime.sim = false; trace = None; faults = None; recovery = None;
       sanitizer = None; durable = false; detailed = false };
   Fun.protect ~finally:(fun () -> Runtime.restore_plane saved) @@ fun () ->
   let n = 100_000 in
