@@ -271,8 +271,6 @@ let explore_dpor ~max_runs ~max_steps scenario =
     Violation { schedule; explored = !runs; pruned = !pruned }
   | exception Budget -> Out_of_budget { explored = !runs; pruned = !pruned }
 
-(* Run [f] under the given retry policy, restoring the caller's however
-   [f] ends. *)
 let with_retry_policy ~retry_cap ~starvation_mode f =
   let saved_cap = !Runtime.retry_cap in
   let saved_mode = !Runtime.starvation_mode in

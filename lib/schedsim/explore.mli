@@ -77,4 +77,8 @@ val sample :
     serial-irrevocable mode instead, which the chaos suite uses to drive
     the fallback path under random schedules. *)
 
+val with_retry_policy :
+  retry_cap:int -> starvation_mode:[ `Raise | `Fallback ] -> (unit -> 'a) -> 'a
+(** Run [f] under this retry policy, restoring the caller's however it ends. *)
+
 val pp_result : Format.formatter -> result -> unit

@@ -441,16 +441,10 @@ let test_no_serial_reclaim_under_simulation () =
         in
         index 0 ready
       in
-      let saved_cap = !Runtime.retry_cap
-      and saved_mode = !Runtime.starvation_mode in
-      Runtime.retry_cap := 0;
-      Runtime.starvation_mode := `Fallback;
       let outcome, _ =
-        Fun.protect
-          ~finally:(fun () ->
-            Runtime.retry_cap := saved_cap;
-            Runtime.starvation_mode := saved_mode)
-          (fun () -> Schedsim.Sched.run ~pick [ p0; p1 ])
+        Schedsim.Explore.with_retry_policy ~retry_cap:0
+          ~starvation_mode:`Fallback (fun () ->
+            Schedsim.Sched.run ~pick [ p0; p1 ])
       in
       Alcotest.(check bool) "completed" true
         (Schedsim.Sched.completed outcome);

@@ -201,17 +201,6 @@ let test_sampler_accepts_safe_scenario () =
       (String.concat ";" (List.map string_of_int schedule))
   | Explore.All_ok _ | Explore.Out_of_budget _ -> ()
 
-let with_retry_policy cap mode f =
-  let saved_cap = !Runtime.retry_cap in
-  let saved_mode = !Runtime.starvation_mode in
-  Runtime.retry_cap := cap;
-  Runtime.starvation_mode := mode;
-  Fun.protect
-    ~finally:(fun () ->
-      Runtime.retry_cap := saved_cap;
-      Runtime.starvation_mode := saved_mode)
-    f
-
 (* A process killed while it holds the serial token unwinds as itself, so
    its escalation bracket releases the token.  Were the token left held,
    every later transaction would park behind a process that no longer
@@ -239,7 +228,8 @@ let test_kill_releases_serial_token () =
   in
   Fun.protect ~finally @@ fun () ->
   let outcome, _ =
-    with_retry_policy 0 `Fallback (fun () ->
+    Explore.with_retry_policy ~retry_cap:0 ~starvation_mode:`Fallback
+      (fun () ->
         Sched.run ~max_steps:20
           ~pick:(fun ~step:_ ~ready -> List.length ready - 1)
           [ other; holder ])
